@@ -161,7 +161,6 @@ void CfAttestElement::slice_thread(std::uint32_t thread, sim::Time now) {
     return;
   }
   Shadow& shadow = shadow_for(thread);
-  bool clean = true;
   for (const auto& entry : scratch_) {
     if (entry.thread_start) {
       shadow.landing = entry.to_pc;
@@ -171,7 +170,6 @@ void CfAttestElement::slice_thread(std::uint32_t thread, sim::Time now) {
     ++attested_;
     obs::count(obs::Counter::audit_cf_transitions_attested);
     if (!transition_valid(entry, shadow)) {
-      clean = false;
       flag(entry, now);
     }
     // Resync on the observed landing either way: one violation must not
@@ -182,12 +180,6 @@ void CfAttestElement::slice_thread(std::uint32_t thread, sim::Time now) {
   if (process_ != nullptr) {
     process_->book_cpu(static_cast<sim::Duration>(scratch_.size()) *
                        config_.cost_per_transition);
-  }
-  if (clean && op_log_ != nullptr) {
-    // Everything this thread did up to `now` is attested clean: the op
-    // log can compact its history up to here (healing never needs to roll
-    // back past an attested slice).
-    op_log_->advance_watermark(thread, now);
   }
 }
 

@@ -26,7 +26,6 @@
 
 #include "audit/process.hpp"
 #include "audit/report.hpp"
-#include "db/op_log.hpp"
 #include "pecos/cf_log.hpp"
 #include "pecos/plan.hpp"
 
@@ -50,10 +49,6 @@ class CfAttestElement final : public AuditElement {
 
   [[nodiscard]] std::string_view name() const override { return "cf-attest"; }
   void on_start(AuditProcess& process) override;
-
-  /// Healing replay bookkeeping: clean slices advance this log's
-  /// per-thread watermark (optional).
-  void set_op_log(db::ThreadOpLog* op_log) noexcept { op_log_ = op_log; }
 
   /// Resets the continuity shadow of a healed thread (the restart's
   /// thread-start marker also does this; this is the belt to its braces).
@@ -90,7 +85,6 @@ class CfAttestElement final : public AuditElement {
   CfAttestConfig config_;
   std::function<sim::ProcessId()> client_pid_;
   std::function<void(const CfViolation&)> on_violation_;
-  db::ThreadOpLog* op_log_ = nullptr;
   AuditProcess* process_ = nullptr;
   std::vector<Shadow> shadows_;
   /// Sorted pcs of CFIs that always transfer (Jmp/Call/ICall/Ret): legit

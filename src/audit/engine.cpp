@@ -236,11 +236,8 @@ void AuditEngine::hold_watermark(std::uint64_t gen, std::uint64_t& new_mark) {
   }
 }
 
-CheckResult AuditEngine::check_static() {
-  return tally(static_scan(true, kUnlimited, nullptr));
-}
-CheckResult AuditEngine::check_static_incremental() {
-  return tally(static_scan(false, kUnlimited, nullptr));
+CheckResult AuditEngine::check_static(ScanMode mode) {
+  return tally(static_scan(mode == ScanMode::Exhaustive, kUnlimited, nullptr));
 }
 
 CheckResult AuditEngine::static_scan(bool exhaustive, sim::Duration budget,
@@ -338,11 +335,8 @@ bool AuditEngine::header_corrupted(db::TableId t, db::RecordIndex r,
   return header.next != expected_next;
 }
 
-CheckResult AuditEngine::check_structure(db::TableId t) {
-  return tally(structure_scan(t, true, kUnlimited, nullptr));
-}
-CheckResult AuditEngine::check_structure_incremental(db::TableId t) {
-  return tally(structure_scan(t, false, kUnlimited, nullptr));
+CheckResult AuditEngine::check_structure(db::TableId t, ScanMode mode) {
+  return tally(structure_scan(t, mode == ScanMode::Exhaustive, kUnlimited, nullptr));
 }
 
 CheckResult AuditEngine::structure_scan(db::TableId t, bool exhaustive,
@@ -491,11 +485,8 @@ CheckResult AuditEngine::structure_scan(db::TableId t, bool exhaustive,
   return result;
 }
 
-CheckResult AuditEngine::check_ranges(db::TableId t) {
-  return tally(ranges_scan(t, true, kUnlimited, nullptr));
-}
-CheckResult AuditEngine::check_ranges_incremental(db::TableId t) {
-  return tally(ranges_scan(t, false, kUnlimited, nullptr));
+CheckResult AuditEngine::check_ranges(db::TableId t, ScanMode mode) {
+  return tally(ranges_scan(t, mode == ScanMode::Exhaustive, kUnlimited, nullptr));
 }
 
 namespace {
@@ -750,11 +741,8 @@ void AuditEngine::free_and_terminate(db::TableId t, db::RecordIndex r,
   }
 }
 
-CheckResult AuditEngine::check_semantics() {
-  return tally(semantics_scan(true, kUnlimited, nullptr));
-}
-CheckResult AuditEngine::check_semantics_incremental() {
-  return tally(semantics_scan(false, kUnlimited, nullptr));
+CheckResult AuditEngine::check_semantics(ScanMode mode) {
+  return tally(semantics_scan(mode == ScanMode::Exhaustive, kUnlimited, nullptr));
 }
 
 // The semantic scan stays sequential even when audit_threads > 1: its
@@ -980,11 +968,8 @@ CheckResult AuditEngine::semantics_scan(bool exhaustive, sim::Duration budget,
   return result;
 }
 
-CheckResult AuditEngine::check_selective(db::TableId t) {
-  return tally(selective_scan(t, true));
-}
-CheckResult AuditEngine::check_selective_incremental(db::TableId t) {
-  return tally(selective_scan(t, false));
+CheckResult AuditEngine::check_selective(db::TableId t, ScanMode mode) {
+  return tally(selective_scan(t, mode == ScanMode::Exhaustive));
 }
 
 // Selective monitoring stays serial and atomic under the budget: its

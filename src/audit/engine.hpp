@@ -107,6 +107,10 @@ struct EngineConfig {
   double cost_scale = 10.0;
 };
 
+/// Which items a check visits: all of them, or only those written since
+/// the check's last scan (see AuditEngine's check methods).
+enum class ScanMode : std::uint8_t { Exhaustive, Incremental };
+
 /// Outcome of one check invocation.
 struct CheckResult {
   std::uint32_t findings = 0;
@@ -133,25 +137,42 @@ class AuditEngine {
   void set_shard_id(std::uint32_t shard) noexcept { shard_id_ = shard; }
   [[nodiscard]] std::uint32_t shard_id() const noexcept { return shard_id_; }
 
+  // Each technique has one entry point. `mode` picks the scan:
+  // Exhaustive visits every item; Incremental runs the same detection and
+  // recovery logic over only the data whose write generation exceeds the
+  // check's watermark (and costs only that). Watermarks are epoch-based:
+  // each scan captures the global write generation at its start and
+  // adopts it at the end, so writes that race the scan keep generations
+  // above the new watermark and stay dirty for the next cycle. Records
+  // skipped for any other reason (write-grace window, table lock) hold the
+  // watermark back so they are revisited. The content checks (range /
+  // selective / semantic) consume *field* generations: group relinks
+  // rewrite only header link words, bumping the record generation the
+  // structural check watches but not the field generation, so link churn
+  // does not force content rescans. The incremental range check
+  // additionally skips freed records whose scrub attestation stands
+  // (field_generation == scrub_generation — fields are catalog defaults by
+  // construction).
+
   /// Golden-checksum audit of all static data; recovery reloads corrupted
   /// chunks from disk (§4.3.1).
-  CheckResult check_static();
+  CheckResult check_static(ScanMode mode = ScanMode::Exhaustive);
 
   /// Structural audit of one table's record headers (§4.3.2). Single
   /// errors are repaired in place; `consecutive_header_threshold`
   /// consecutive corruptions trigger a full database reload.
-  CheckResult check_structure(db::TableId t);
+  CheckResult check_structure(db::TableId t, ScanMode mode = ScanMode::Exhaustive);
 
   /// Range audit of one dynamic table's active records (§4.3.1).
-  CheckResult check_ranges(db::TableId t);
+  CheckResult check_ranges(db::TableId t, ScanMode mode = ScanMode::Exhaustive);
 
   /// Referential-integrity audit following the FK loops from every active
   /// anchor record, plus orphan ("zombie") sweep (§4.3.3).
-  CheckResult check_semantics();
+  CheckResult check_semantics(ScanMode mode = ScanMode::Exhaustive);
 
   /// Selective attribute monitoring of one table's unruled dynamic fields
   /// (§4.4.2): derive value-frequency invariants, escalate suspects.
-  CheckResult check_selective(db::TableId t);
+  CheckResult check_selective(db::TableId t, ScanMode mode = ScanMode::Exhaustive);
 
   /// Targeted single-record check used by event-triggered audit: header +
   /// ranges (bypassing the write-grace window — the triggering write is
@@ -162,27 +183,6 @@ class AuditEngine {
   /// unprioritized cycle): static + per-table structure/ranges/selective +
   /// semantic loops.
   CheckResult full_pass(const std::vector<db::TableId>& order);
-
-  // --- incremental (dirty-tracking) variants ---
-  // Same detection and recovery logic as the exhaustive checks, but only
-  // data whose write generation exceeds the check's watermark is scanned
-  // (and costed). Watermarks are epoch-based: each scan captures the global
-  // write generation at its start and adopts it at the end, so writes that
-  // race the scan keep generations above the new watermark and stay dirty
-  // for the next cycle. Records skipped for any other reason (write-grace
-  // window, table lock) hold the watermark back so they are revisited.
-  // The content checks (range / selective / semantic) consume *field*
-  // generations: group relinks rewrite only header link words, bumping the
-  // record generation the structural check watches but not the field
-  // generation, so link churn does not force content rescans. The range
-  // check additionally skips freed records whose scrub attestation stands
-  // (field_generation == scrub_generation — fields are catalog defaults by
-  // construction).
-  CheckResult check_static_incremental();
-  CheckResult check_structure_incremental(db::TableId t);
-  CheckResult check_ranges_incremental(db::TableId t);
-  CheckResult check_semantics_incremental();
-  CheckResult check_selective_incremental(db::TableId t);
 
   /// One incremental audit cycle over the given table order. Every
   /// `full_sweep_interval`-th call runs the exhaustive pass instead (which

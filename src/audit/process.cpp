@@ -312,19 +312,12 @@ void PeriodicAuditElement::tick(AuditProcess& process) {
                               ? process.scheduler().next_prioritized()
                               : process.scheduler().next_round_robin();
     // One-table mode has no full-sweep cadence of its own: each tick visits
-    // a single table, so the incremental variants alone decide coverage.
-    if (incremental) {
-      result += engine.check_structure_incremental(t);
-      result += engine.check_ranges_incremental(t);
-      if (process.config().engine.selective_monitoring) {
-        result += engine.check_selective_incremental(t);
-      }
-    } else {
-      result += engine.check_structure(t);
-      result += engine.check_ranges(t);
-      if (process.config().engine.selective_monitoring) {
-        result += engine.check_selective(t);
-      }
+    // a single table, so the incremental scans alone decide coverage.
+    const ScanMode mode = incremental ? ScanMode::Incremental : ScanMode::Exhaustive;
+    result += engine.check_structure(t, mode);
+    result += engine.check_ranges(t, mode);
+    if (process.config().engine.selective_monitoring) {
+      result += engine.check_selective(t, mode);
     }
   } else {
     std::vector<db::TableId> order;

@@ -1,10 +1,10 @@
 #include "audit/replay.hpp"
 
 #include <algorithm>
-#include <array>
 #include <unordered_map>
 
 #include "audit/engine.hpp"
+#include "db/direct.hpp"
 #include "obs/metrics.hpp"
 
 namespace wtc::audit {
@@ -37,30 +37,6 @@ void mix(std::uint64_t& hash, std::uint64_t value) noexcept {
       return true;
     default:
       return false;
-  }
-}
-
-/// Mirrors db::direct::relink_table on a raw shadow span: chains are a
-/// pure function of the group words (group < kMaxGroups members, record
-/// index order, kNilLink terminated).
-void relink_shadow_table(std::span<std::byte> shadow, const db::Layout& layout,
-                         db::TableId t) {
-  const auto& tl = layout.table(t);
-  std::vector<std::uint32_t> expected(tl.num_records, db::kNilLink);
-  std::array<std::uint32_t, db::kMaxGroups> last_in_group;
-  last_in_group.fill(db::kNilLink);
-  for (db::RecordIndex r = 0; r < tl.num_records; ++r) {
-    const std::uint32_t group =
-        db::load_u32(shadow, layout.record_offset(t, r) + 8);
-    if (group < db::kMaxGroups) {
-      if (last_in_group[group] != db::kNilLink) {
-        expected[last_in_group[group]] = r;
-      }
-      last_in_group[group] = r;
-    }
-  }
-  for (db::RecordIndex r = 0; r < tl.num_records; ++r) {
-    db::store_u32(shadow, layout.record_offset(t, r) + 12, expected[r]);
   }
 }
 
@@ -267,7 +243,11 @@ ReplayResult ReplayAuditor::run(std::span<const db::ApiEvent> events) {
     }
   }
   for (std::size_t t = 0; t < layout.tables().size(); ++t) {
-    relink_shadow_table(shadow, layout, static_cast<db::TableId>(t));
+    const auto table = static_cast<db::TableId>(t);
+    const auto expected = db::direct::expected_links(shadow, layout, table);
+    for (db::RecordIndex r = 0; r < expected.size(); ++r) {
+      db::store_u32(shadow, layout.record_offset(table, r) + 12, expected[r]);
+    }
   }
 
   // --- compare shadow vs live, word-for-word, fixed-grain slices merged

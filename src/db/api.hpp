@@ -71,7 +71,7 @@ struct ApiEvent {
   /// Outcome of the call — replay consumers skip failed (no-op) updates.
   Status status = Status::Ok;
   /// Client thread that issued the call (set_thread_id attribution) — the
-  /// per-thread op log keys on this for healing replay.
+  /// healer selects a thread's history from the run op log by this.
   std::uint32_t thread = 0;
   /// Alloc/Move: the target logical group of the operation.
   std::uint32_t group = 0;

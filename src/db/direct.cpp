@@ -5,20 +5,14 @@
 
 namespace wtc::db::direct {
 
-void relink_table(Database& db, TableId t) {
-  const auto& tl = db.layout().table(t);
-  auto region = db.region();
-  // Compute the correct `next` of every record first, then store only the
-  // words that actually change. Relinking runs on every alloc/free/move, so
-  // blanket stores would mark the whole table dirty (defeating incremental
-  // audit) and over-report legitimate overwrites to the oracle; an
-  // unchanged link word was neither rewritten nor cleansed.
+std::vector<std::uint32_t> expected_links(std::span<const std::byte> region,
+                                          const Layout& layout, TableId t) {
+  const auto& tl = layout.table(t);
   std::vector<std::uint32_t> expected(tl.num_records, kNilLink);
   std::array<std::uint32_t, kMaxGroups> last_in_group;
   last_in_group.fill(kNilLink);
   for (RecordIndex r = 0; r < tl.num_records; ++r) {
-    const std::uint32_t group =
-        load_u32(region, db.layout().record_offset(t, r) + 8);
+    const std::uint32_t group = load_u32(region, layout.record_offset(t, r) + 8);
     if (group < kMaxGroups) {
       if (last_in_group[group] != kNilLink) {
         expected[last_in_group[group]] = r;
@@ -26,7 +20,17 @@ void relink_table(Database& db, TableId t) {
       last_in_group[group] = r;
     }
   }
-  for (RecordIndex r = 0; r < tl.num_records; ++r) {
+  return expected;
+}
+
+void relink_table(Database& db, TableId t) {
+  auto region = db.region();
+  // Store only the words that actually change. Relinking runs on every
+  // alloc/free/move, so blanket stores would mark the whole table dirty
+  // (defeating incremental audit) and over-report legitimate overwrites to
+  // the oracle; an unchanged link word was neither rewritten nor cleansed.
+  const auto expected = expected_links(region, db.layout(), t);
+  for (RecordIndex r = 0; r < expected.size(); ++r) {
     const std::size_t link_at = db.layout().record_offset(t, r) + 12;
     if (load_u32(region, link_at) == expected[r]) {
       continue;
@@ -90,6 +94,15 @@ void free_record(Database& db, TableId t, RecordIndex r) {
   relink_table(db, t);
 }
 
+void scrub_fields(Database& db, TableId t, RecordIndex r) {
+  const std::size_t at = db.layout().record_offset(t, r) + kRecordHeaderSize;
+  const auto& fields = db.schema().tables.at(t).fields;
+  for (std::size_t f = 0; f < fields.size(); ++f) {
+    store_i32(db.region(), at + f * 4, fields[f].default_value);
+  }
+  db.note_scrub(at, fields.size() * 4);
+}
+
 void repair_header(Database& db, TableId t, RecordIndex r) {
   const std::size_t at = db.layout().record_offset(t, r);
   auto region = db.region();
@@ -123,11 +136,7 @@ void repair_header(Database& db, TableId t, RecordIndex r) {
     // an already-recovered record — and it is a status transition with no
     // accompanying field write, which the incremental content checks are
     // entitled to assume never happens.
-    const auto& fields = db.schema().tables.at(t).fields;
-    for (std::size_t f = 0; f < fields.size(); ++f) {
-      store_i32(region, at + kRecordHeaderSize + f * 4, fields[f].default_value);
-    }
-    db.note_scrub(at + kRecordHeaderSize, fields.size() * 4);
+    scrub_fields(db, t, r);
   }
   relink_table(db, t);
 }

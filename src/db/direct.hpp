@@ -7,14 +7,26 @@
 // invariant.
 #pragma once
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "db/database.hpp"
 
 namespace wtc::db::direct {
 
-/// Rebuilds the `next` links of every record of table `t` so each group's
-/// chain lists its records in index order (the structural invariant the
-/// structural audit verifies). Records with out-of-range group values are
-/// left unlinked. O(N_records): the audit's recovery paths use it (and it
+/// The `next` word each record of table `t` must hold, from the group words
+/// in `region`: each group's chain lists its records in index order,
+/// kNilLink terminated, and records with out-of-range group values are left
+/// unlinked (the structural invariant the structural audit verifies). The
+/// one statement of the rule: relink_table applies it to the live region,
+/// the replay audit to its shadow copy.
+[[nodiscard]] std::vector<std::uint32_t> expected_links(
+    std::span<const std::byte> region, const Layout& layout, TableId t);
+
+/// Rebuilds the `next` links of every record of table `t` to
+/// expected_links, storing only the words that change. O(N_records): the
+/// audit's recovery paths use it (and it
 /// doubles as the reference implementation the shadow-index cross-check
 /// and the splice-equivalence bench compare against); the API hot path
 /// uses splice_links instead.
@@ -40,6 +52,11 @@ void splice_links(Database& db, TableId t, RecordIndex r,
 /// audit's "record is freed as a preemptive measure" recovery (§4.3.1) and
 /// the zombie-record recovery of the semantic audit (§4.3.3).
 void free_record(Database& db, TableId t, RecordIndex r);
+
+/// Resets every field of record `r` to its catalog default and attests
+/// the store as a scrub (Database::note_scrub). Header words are left
+/// alone: callers that free a record store its header themselves.
+void scrub_fields(Database& db, TableId t, RecordIndex r);
 
 /// Repairs record `r`'s header in place: id_tag recomputed from the
 /// offset, invalid status downgraded to Free (dropping the record),

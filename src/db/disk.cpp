@@ -18,8 +18,9 @@ constexpr std::uint32_t kImageVersion = 1;
 constexpr std::size_t kImageHeaderBytes = 16;
 
 void put_u32(std::vector<std::byte>& out, std::uint32_t value) {
-  const auto* bytes = reinterpret_cast<const std::byte*>(&value);
-  out.insert(out.end(), bytes, bytes + 4);
+  const std::size_t at = out.size();
+  out.resize(at + 4);
+  std::memcpy(out.data() + at, &value, 4);
 }
 
 std::uint32_t get_u32(std::span<const std::byte> in, std::size_t offset) {

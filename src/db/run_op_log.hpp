@@ -1,11 +1,10 @@
-// Whole-run DbApi operation log (ROADMAP's log-replay audit arm; the
-// whole-run generalization of the per-thread healing feed in op_log.hpp).
+// Whole-run DbApi operation log: the one record of API history.
 //
 // `RunOpLog` is a NotificationSink tee: every *successful* ApiEvent —
 // across all client threads, in arrival order — is recorded, then
 // forwarded to the chained sink, so installing the recorder changes
 // nothing the audit process sees. Arrival order is the ground truth the
-// two consumers rely on:
+// three consumers rely on:
 //   * the replay audit arm (audit/replay.hpp) re-executes the log against
 //     a shadow region and compares word-for-word — exact because alloc
 //     picks the lowest free index deterministically and update events
@@ -13,7 +12,9 @@
 //   * the replay workload engine (experiments/replay_workload.hpp)
 //     re-applies the log through a fresh DbApi with no call-processing
 //     simulation at all, reproducing the recorded run's region
-//     byte-for-byte.
+//     byte-for-byte;
+//   * the CF healer (manager/healer.hpp) replays one thread's update
+//     events since its last heal.
 //
 // On-disk format (little-endian):
 //   [u32 magic 'WOPL'][u32 version]

@@ -10,7 +10,7 @@
 #include "callproc/vm_driver.hpp"
 #include "callproc/vm_program.hpp"
 #include "db/controller_schema.hpp"
-#include "db/op_log.hpp"
+#include "db/run_op_log.hpp"
 #include "inject/oracle.hpp"
 #include "manager/healer.hpp"
 #include "manager/manager.hpp"
@@ -126,16 +126,13 @@ PecosRunResult run_pecos_single(const PecosRunParams& params) {
   }
   audit::IpcNotificationSink sink(node, [&audit_pid]() { return audit_pid; });
 
-  // Per-thread op log (healing replay feed): tees the instrumented API's
+  // Run op log (the healer's replay feed): tees the instrumented API's
   // notifications, so the audit process sees exactly what it saw before.
-  std::optional<db::ThreadOpLog> op_log;
+  std::optional<db::RunOpLog> op_log;
   db::NotificationSink* driver_sink = params.audit ? &sink : nullptr;
   if (heal_active) {
     op_log.emplace(params.audit ? &sink : nullptr);
     driver_sink = &*op_log;
-    if (attest_element != nullptr) {
-      attest_element->set_op_log(&*op_log);
-    }
   }
 
   callproc::VmDriverConfig driver_cfg;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "common/log.hpp"
@@ -11,7 +12,7 @@
 
 namespace wtc::manager {
 
-CfHealer::CfHealer(db::Database& db, db::ThreadOpLog& op_log,
+CfHealer::CfHealer(db::Database& db, const db::RunOpLog& op_log,
                    pecos::CfLog& cf_log, audit::HealableClient& client,
                    audit::ClientControl* control, audit::ReportSink* sink,
                    std::function<sim::Time()> clock, HealerConfig config)
@@ -91,40 +92,66 @@ void CfHealer::stage(std::uint32_t number, const char* name,
 
 void CfHealer::try_heal(const audit::CfViolation& violation) {
   const std::uint32_t tid = violation.thread;
-  const auto& ops = op_log_.ops(tid);
   const db::Layout& layout = db_.layout();
 
   // --- stage 1: terminate the offending thread -------------------------
   stage(1, "heal.terminate", [&]() { client_.heal_terminate_thread(tid); });
+
+  // The thread's update events since its last heal, oldest first: every
+  // event of the run log from the thread's cursor on is visited once per
+  // pass, in place.
+  const auto& events = op_log_.events();
+  const std::size_t from = tid < cursor_.size() ? cursor_[tid] : 0;
+  const auto in_tail = [&](const db::ApiEvent& op) {
+    return op.thread == tid && op.is_update && op.table < db_.table_count();
+  };
+  const auto key_of = [](db::TableId t, db::RecordIndex r) {
+    return (static_cast<std::uint64_t>(t) << 32) | r;
+  };
 
   // --- stage 2: restore touched records from the golden disk copy ------
   // Touched set in first-touch order; a record is skipped when another
   // thread has re-allocated it since (its region header is active but the
   // redundant metadata attributes the last write elsewhere) — wiping it
   // would turn one thread's CF error into a second thread's data loss.
-  std::vector<std::pair<db::TableId, db::RecordIndex>> touched;
-  std::vector<bool> owned;
-  for (const auto& op : ops) {
-    if (op.table >= db_.table_count()) {
+  // `held` follows the trusted ops: set by an Alloc, cleared by a Free.
+  struct Touched {
+    db::TableId table;
+    db::RecordIndex record;
+    bool owned = false;
+    bool held = false;
+  };
+  std::vector<Touched> touched;
+  std::unordered_map<std::uint64_t, std::size_t> slot;
+  for (std::size_t i = from; i < events.size(); ++i) {
+    const auto& op = events[i];
+    if (!in_tail(op)) {
       continue;
     }
-    const auto key = std::make_pair(op.table, op.record);
-    if (std::find(touched.begin(), touched.end(), key) == touched.end()) {
-      touched.push_back(key);
+    const auto [it, inserted] =
+        slot.try_emplace(key_of(op.table, op.record), touched.size());
+    if (inserted) {
+      touched.push_back(Touched{op.table, op.record});
+    }
+    if (op.time < violation.time) {
+      if (op.op == db::ApiOp::Alloc) {
+        touched[it->second].held = true;
+      } else if (op.op == db::ApiOp::Free) {
+        touched[it->second].held = false;
+      }
     }
   }
   stage(2, "heal.restore", [&]() {
-    owned.assign(touched.size(), false);
-    for (std::size_t i = 0; i < touched.size(); ++i) {
-      const auto [t, r] = touched[i];
-      const std::size_t at = layout.record_offset(t, r);
+    for (auto& rec : touched) {
+      rec.owned = false;
+      const std::size_t at = layout.record_offset(rec.table, rec.record);
       const auto header = db::load_record_header(db_.region(), at);
       if (header.status == db::kStatusActive &&
-          db_.record_meta(t, r).last_writer_thread != tid) {
+          db_.record_meta(rec.table, rec.record).last_writer_thread != tid) {
         continue;  // foreign ownership — leave it alone
       }
-      owned[i] = true;
-      db_.reload_span_from_disk(at, layout.table(t).record_size);
+      rec.owned = true;
+      db_.reload_span_from_disk(at, layout.table(rec.table).record_size);
       ++restored_;
     }
   });
@@ -134,64 +161,46 @@ void CfHealer::try_heal(const audit::CfViolation& violation) {
     // Ops stamped strictly before the violating transfer are trusted; the
     // violation's own quantum is conservatively suspect (the transfer may
     // have preceded the ops within the quantum).
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      if (ops[i].time >= violation.time) {
-        break;  // ops are recorded in time order
-      }
-      const auto key = std::make_pair(ops[i].table, ops[i].record);
-      const auto it = std::find(touched.begin(), touched.end(), key);
-      if (it == touched.end() ||
-          !owned[static_cast<std::size_t>(it - touched.begin())]) {
+    for (std::size_t i = from; i < events.size(); ++i) {
+      const auto& op = events[i];
+      if (!in_tail(op)) {
         continue;
       }
-      replay_op(ops[i]);
+      if (op.time >= violation.time) {
+        break;  // a thread's events are recorded in time order
+      }
+      if (touched[slot.at(key_of(op.table, op.record))].owned) {
+        replay_op(op);
+      }
     }
     // The thread restarts from scratch: records it allocated and still
     // holds carry in-flight call state that no one will ever complete —
     // free them (the semantic audit's zombie-record recovery, reused).
-    for (std::size_t i = 0; i < touched.size(); ++i) {
-      if (!owned[i]) {
-        continue;
-      }
-      const auto [t, r] = touched[i];
-      bool allocated = false;
-      bool held = false;
-      for (const auto& op : ops) {
-        if (op.time >= violation.time || op.table != t || op.record != r) {
-          continue;
-        }
-        if (op.op == db::ApiOp::Alloc) {
-          allocated = true;
-          held = true;
-        } else if (op.op == db::ApiOp::Free) {
-          held = false;
-        }
-      }
-      if (allocated && held) {
-        db::direct::free_record(db_, t, r);
+    for (const auto& rec : touched) {
+      if (rec.owned && rec.held) {
+        db::direct::free_record(db_, rec.table, rec.record);
       }
     }
     // Chains and shadow indices were invalidated wholesale by the
     // restore+replay writes: rebuild per touched table, then verify every
     // restored record's header before declaring the database healed.
     std::vector<db::TableId> tables;
-    for (const auto& [t, r] : touched) {
-      if (std::find(tables.begin(), tables.end(), t) == tables.end()) {
-        tables.push_back(t);
+    for (const auto& rec : touched) {
+      if (std::find(tables.begin(), tables.end(), rec.table) == tables.end()) {
+        tables.push_back(rec.table);
       }
     }
     for (const db::TableId t : tables) {
       db::direct::relink_table(db_, t);
       db_.rebuild_index(t);
     }
-    for (std::size_t i = 0; i < touched.size(); ++i) {
-      if (!owned[i]) {
+    for (const auto& rec : touched) {
+      if (!rec.owned) {
         continue;
       }
-      const auto [t, r] = touched[i];
-      const auto header =
-          db::load_record_header(db_.region(), layout.record_offset(t, r));
-      if (header.id_tag != db::expected_id_tag(t, r) ||
+      const auto header = db::load_record_header(
+          db_.region(), layout.record_offset(rec.table, rec.record));
+      if (header.id_tag != db::expected_id_tag(rec.table, rec.record) ||
           (header.status != db::kStatusActive &&
            header.status != db::kStatusFree)) {
         throw std::runtime_error("heal: post-replay header verification failed");
@@ -201,7 +210,10 @@ void CfHealer::try_heal(const audit::CfViolation& violation) {
 
   // --- stage 4: restart the thread at a clean entry ---------------------
   stage(4, "heal.restart", [&]() {
-    op_log_.clear_thread(tid);
+    if (cursor_.size() <= tid) {
+      cursor_.resize(tid + 1);
+    }
+    cursor_[tid] = events.size();
     cf_log_.clear_thread(tid);
     client_.heal_restart_thread(tid);
   });
@@ -223,11 +235,14 @@ void CfHealer::replay_op(const db::ApiEvent& op) {
       break;
     }
     case db::ApiOp::Free: {
+      // As free_rec: a freed record holds its catalog defaults, not the
+      // call data the replayed writes put back.
       auto header = db::load_record_header(region, at);
       header.status = db::kStatusFree;
       header.group = 0;
       db::store_record_header(region, at, header);
       db_.note_write(at, db::kRecordHeaderSize);
+      db::direct::scrub_fields(db_, op.table, op.record);
       break;
     }
     case db::ApiOp::Move: {

@@ -15,8 +15,15 @@
 //                    (it restarts from scratch, so in-flight call state is
 //                    released), relink chains, rebuild indices, and verify
 //                    every touched header
-//   4. restart     — clear the thread's CF/op logs and restart it at a
-//                    clean entry with pristine program text
+//   4. restart     — clear the thread's CF log, move its op-log cursor to
+//                    the end of the run log, and restart it at a clean
+//                    entry with pristine program text
+//
+// The thread's op history is its update events in the whole-run
+// db::RunOpLog from its cursor on: the cursor starts at 0 and restarts
+// after every completed heal, when the rebuilt state is the new baseline.
+// The history is never compacted — the held-record release in stage 3
+// needs every Alloc the thread issued since its last heal.
 //
 // Idempotence: the same violating transfer is often reported twice (the
 // preemptive monitor and the attestation slice both see it); a violation
@@ -32,7 +39,7 @@
 
 #include "audit/report.hpp"
 #include "db/database.hpp"
-#include "db/op_log.hpp"
+#include "db/run_op_log.hpp"
 #include "pecos/cf_log.hpp"
 #include "sim/time.hpp"
 
@@ -48,7 +55,7 @@ class CfHealer {
   /// `control` and `sink` may be null (no escalation target / no report
   /// consumer); `clock` supplies sim time for findings and the
   /// idempotence stamp.
-  CfHealer(db::Database& db, db::ThreadOpLog& op_log, pecos::CfLog& cf_log,
+  CfHealer(db::Database& db, const db::RunOpLog& op_log, pecos::CfLog& cf_log,
            audit::HealableClient& client, audit::ClientControl* control,
            audit::ReportSink* sink, std::function<sim::Time()> clock,
            HealerConfig config = {});
@@ -81,7 +88,7 @@ class CfHealer {
   void escalate(const audit::CfViolation& violation);
 
   db::Database& db_;
-  db::ThreadOpLog& op_log_;
+  const db::RunOpLog& op_log_;
   pecos::CfLog& cf_log_;
   audit::HealableClient& client_;
   audit::ClientControl* control_;
@@ -95,6 +102,9 @@ class CfHealer {
     bool valid = false;
   };
   std::vector<LastHeal> last_heal_;
+  /// Per-thread index into op_log_.events() where the thread's history
+  /// restarts after its last heal.
+  std::vector<std::size_t> cursor_;
   std::uint64_t heals_ = 0;
   std::uint64_t skipped_ = 0;
   std::uint64_t escalations_ = 0;

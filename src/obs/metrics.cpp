@@ -64,7 +64,6 @@ constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
     "db.cross_shard_links",
     "oplog.recorded",
     "oplog.bytes",
-    "oplog.compactions",
     "replay.chains",
     "replay.deduped",
     "replay.exec_ops",

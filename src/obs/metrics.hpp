@@ -95,7 +95,6 @@ enum class Counter : std::uint16_t {
   db_cross_shard_links,
   oplog_recorded,
   oplog_bytes,
-  oplog_compactions,
   replay_chains,
   replay_deduped,
   replay_exec_ops,

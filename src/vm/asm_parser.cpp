@@ -337,7 +337,18 @@ void append(std::string& out, const char* mnemonic,
   out += '\n';
 }
 
-std::string reg(std::uint8_t r) { return "r" + std::to_string(r); }
+// Prefixed names are built by appending: GCC 12 at -O3 reports a false
+// -Wrestrict on `"r" + std::to_string(...)`.
+std::string reg(std::uint8_t r) {
+  std::string out = "r";
+  out += std::to_string(r);
+  return out;
+}
+std::string label(std::uint32_t pc) {
+  std::string out = "L";
+  out += std::to_string(pc);
+  return out;
+}
 std::string imm(std::int32_t v) { return std::to_string(v); }
 
 }  // namespace
@@ -362,7 +373,7 @@ std::string format_asm(const Program& program) {
   const auto target_ref = [&](std::int32_t value) -> std::string {
     const auto target = static_cast<std::uint32_t>(value);
     if (target < program.size() && labelled[target]) {
-      return "L" + std::to_string(target);
+      return label(target);
     }
     return imm(value);
   };
@@ -373,7 +384,8 @@ std::string format_asm(const Program& program) {
   }
   for (std::uint32_t pc = 0; pc < program.size(); ++pc) {
     if (labelled[pc]) {
-      out += "L" + std::to_string(pc) + ":\n";
+      out += label(pc);
+      out += ":\n";
     }
     const Instr i = decode(program.text[pc]);
     switch (i.op) {

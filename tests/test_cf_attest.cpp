@@ -8,12 +8,13 @@
 #include <stdexcept>
 
 #include "audit/cf_attest.hpp"
+#include "audit/engine.hpp"
 #include "audit/process.hpp"
 #include "common/rng.hpp"
 #include "db/controller_schema.hpp"
 #include "db/direct.hpp"
 #include "db/layout.hpp"
-#include "db/op_log.hpp"
+#include "db/run_op_log.hpp"
 #include "experiments/pecos_runner.hpp"
 #include "manager/healer.hpp"
 #include "pecos/cf_log.hpp"
@@ -272,9 +273,18 @@ class HealerTest : public ::testing::Test {
                              &sink_, [this]() { return now_; });
   }
 
+  void expect_catalog_defaults(db::TableId t, db::RecordIndex r) const {
+    const auto& fields = db_->schema().tables[t].fields;
+    for (std::size_t f = 0; f < fields.size(); ++f) {
+      EXPECT_EQ(db::direct::read_field(*db_, t, r, static_cast<db::FieldId>(f)),
+                fields[f].default_value)
+          << fields[f].name;
+    }
+  }
+
   std::unique_ptr<db::Database> db_;
   db::ControllerIds ids_;
-  db::ThreadOpLog op_log_;
+  db::RunOpLog op_log_;
   pecos::CfLog cf_log_;
   db::DbApi api_;
   FakeHealable client_;
@@ -320,20 +330,27 @@ TEST_F(HealerTest, RestoresReplaysReleasesAndRestarts) {
   ASSERT_EQ(client_.terminated, std::vector<std::uint32_t>{1u});
   ASSERT_EQ(client_.restarted, std::vector<std::uint32_t>{1u});
   // The trusted op tail (alloc + write, both before t=20) was replayed.
-  EXPECT_GE(healer.replayed_ops(), 2u);
+  EXPECT_EQ(healer.replayed_ops(), 2u);
   EXPECT_GE(healer.restored_records(), 1u);
   // Thread 1 restarts from scratch, so its held record was released; the
   // corrupted field went back to the catalog default with it.
   const auto h1 = db::direct::read_header(*db_, ids_.process, r1);
   EXPECT_EQ(h1.status, db::kStatusFree);
   EXPECT_EQ(h1.id_tag, db::expected_id_tag(ids_.process, r1));
-  EXPECT_NE(db::direct::read_field(*db_, ids_.process, r1, ids_.p_status),
-            -777);
+  expect_catalog_defaults(ids_.process, r1);
   // Thread 2's record was not collateral damage.
   EXPECT_EQ(db::direct::read_header(*db_, ids_.process, r2).status,
             db::kStatusActive);
-  // The healed thread's logs restart empty.
-  EXPECT_TRUE(op_log_.ops(1).empty());
+  // The healed thread's history restarts empty: a later violation on it
+  // restores and replays nothing from before the heal.
+  const auto replayed = healer.replayed_ops();
+  const auto restored = healer.restored_records();
+  violation.time = 30;
+  now_ = 31;
+  EXPECT_TRUE(healer.heal(violation));
+  EXPECT_EQ(healer.heals(), 2u);
+  EXPECT_EQ(healer.replayed_ops(), replayed);
+  EXPECT_EQ(healer.restored_records(), restored);
   // The heal was reported.
   bool reported = false;
   for (const auto& finding : sink_.findings) {
@@ -341,6 +358,41 @@ TEST_F(HealerTest, RestoresReplaysReleasesAndRestarts) {
                 finding.recovery == audit::Recovery::HealThread;
   }
   EXPECT_TRUE(reported);
+}
+
+TEST_F(HealerTest, ReplayedFreeLeavesCatalogDefaults) {
+  // Thread 1 runs a whole call-record lifecycle: alloc, write, free.
+  api_.set_thread_id(1);
+  now_ = 10;
+  db::RecordIndex r = 0;
+  ASSERT_EQ(api_.alloc_rec(ids_.process, db::kGroupActiveCalls, r),
+            db::Status::Ok);
+  now_ = 11;
+  ASSERT_EQ(api_.write_fld(ids_.process, r, ids_.p_process_id, 1),
+            db::Status::Ok);
+  now_ = 12;
+  ASSERT_EQ(api_.free_rec(ids_.process, r), db::Status::Ok);
+
+  // A violation follows, and then a heal.
+  auto healer = make_healer();
+  audit::CfViolation violation;
+  violation.client = 1;
+  violation.thread = 1;
+  violation.time = 20;
+  violation.source = audit::CfSource::Preemptive;
+  now_ = 21;
+  EXPECT_TRUE(healer.heal(violation));
+
+  // All three ops replayed, and the replayed free scrubbed the fields the
+  // replayed write had filled, as free_rec does.
+  EXPECT_EQ(healer.replayed_ops(), 3u);
+  EXPECT_EQ(db::direct::read_header(*db_, ids_.process, r).status,
+            db::kStatusFree);
+  expect_catalog_defaults(ids_.process, r);
+  now_ = 60 * sim::kSecond;  // well past the range audit's write grace
+  audit::AuditEngine engine(*db_, audit::EngineConfig{},
+                            [this]() { return now_; });
+  EXPECT_EQ(engine.check_ranges(ids_.process).findings, 0u);
 }
 
 TEST_F(HealerTest, DoubleReportOfSameViolationHealsOnce) {

@@ -1,5 +1,5 @@
 // Incremental (dirty-tracking) audit: generation bookkeeping in the store
-// and the epoch-watermark scan variants in the engine.
+// and the engine's incremental (epoch-watermark) scan mode.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -11,6 +11,8 @@
 
 namespace wtc::audit {
 namespace {
+
+constexpr ScanMode kIncremental = ScanMode::Incremental;
 
 class CollectingSink : public ReportSink {
  public:
@@ -182,9 +184,9 @@ TEST_F(IncrementalAuditTest, CleanDataCostsNothingAfterWatermarkAdoption) {
 
   // No writes since: every check proves table-level cleanliness from the
   // generation counters and books zero cost.
-  EXPECT_EQ(engine_->check_static_incremental().cost, 0);
-  EXPECT_EQ(engine_->check_structure_incremental(ids_.process).cost, 0);
-  EXPECT_EQ(engine_->check_ranges_incremental(ids_.connection).cost, 0);
+  EXPECT_EQ(engine_->check_static(kIncremental).cost, 0);
+  EXPECT_EQ(engine_->check_structure(ids_.process, kIncremental).cost, 0);
+  EXPECT_EQ(engine_->check_ranges(ids_.connection, kIncremental).cost, 0);
   const auto second = engine_->incremental_pass(all_tables());
   EXPECT_EQ(second.findings, 0u);
   EXPECT_LT(second.cost, first.cost);
@@ -202,7 +204,7 @@ TEST_F(IncrementalAuditTest, IncrementalRangeAuditCatchesThroughStoreCorruption)
   db::store_i32(db_->region(), at, 99);
   db_->mark_written(at, 4);
 
-  const auto result = engine_->check_ranges_incremental(ids_.connection);
+  const auto result = engine_->check_ranges(ids_.connection, kIncremental);
   EXPECT_EQ(result.findings, 1u);
   EXPECT_EQ(sink_.count(Technique::RangeCheck), 1u);
 }
@@ -211,18 +213,18 @@ TEST_F(IncrementalAuditTest, GraceSkipHoldsWatermarkForNextCycle) {
   const auto [p, c, r] = make_call();
   (void)p;
   (void)r;
-  ASSERT_EQ(engine_->check_ranges_incremental(ids_.connection).findings, 0u);
+  ASSERT_EQ(engine_->check_ranges(ids_.connection, kIncremental).findings, 0u);
 
   api_.write_fld(ids_.connection, c, ids_.c_state, 1);  // fresh write
   db::direct::write_field(*db_, ids_.connection, c, ids_.c_state, 99);
   // Still within the write-grace window: the record is skipped unverified,
   // so the scan must hold its watermark below the record's generation.
-  EXPECT_EQ(engine_->check_ranges_incremental(ids_.connection).findings, 0u);
+  EXPECT_EQ(engine_->check_ranges(ids_.connection, kIncremental).findings, 0u);
   advance();
   // No further writes — only the held-back watermark makes the record dirty
   // again. If the scan had adopted its start-of-scan mark unconditionally,
   // this corruption would never be revisited.
-  EXPECT_EQ(engine_->check_ranges_incremental(ids_.connection).findings, 1u);
+  EXPECT_EQ(engine_->check_ranges(ids_.connection, kIncremental).findings, 1u);
 }
 
 // --- the full-sweep escape hatch for bypass corruption ---
@@ -258,7 +260,7 @@ TEST_F(IncrementalAuditTest, FullSweepCatchesBypassStaticCorruption) {
   const std::size_t at = db_->layout().field_offset(ids_.subscriber, 5, 1);
   db_->region()[at] ^= std::byte{0x01};  // no mark_written
 
-  EXPECT_EQ(engine_->check_static_incremental().findings, 0u);
+  EXPECT_EQ(engine_->check_static(kIncremental).findings, 0u);
   // Cycle 2 sweeps: checksum mismatch found, chunk reloaded from disk.
   EXPECT_EQ(engine_->incremental_pass(all_tables()).findings, 1u);
   EXPECT_EQ(db::load_i32(db_->region(), at), db::subscriber_auth_key(5));
@@ -278,7 +280,7 @@ TEST_F(IncrementalAuditTest, FreedRecordScrubIsAttestedAndSkipped) {
   // range audit proves the record clean without reading a single field.
   EXPECT_EQ(db_->field_generation(ids_.connection, c),
             db_->scrub_generation(ids_.connection, c));
-  EXPECT_EQ(engine_->check_ranges_incremental(ids_.connection).findings, 0u);
+  EXPECT_EQ(engine_->check_ranges(ids_.connection, kIncremental).findings, 0u);
 
   // Any later field write — legitimate or injected — breaks the attestation.
   const std::size_t at =
@@ -287,7 +289,7 @@ TEST_F(IncrementalAuditTest, FreedRecordScrubIsAttestedAndSkipped) {
   db_->mark_written(at, 4);
   EXPECT_GT(db_->field_generation(ids_.connection, c),
             db_->scrub_generation(ids_.connection, c));
-  EXPECT_EQ(engine_->check_ranges_incremental(ids_.connection).findings, 1u);
+  EXPECT_EQ(engine_->check_ranges(ids_.connection, kIncremental).findings, 1u);
 }
 
 TEST_F(IncrementalAuditTest, RepairHeaderDropScrubsStaleFields) {
@@ -312,7 +314,7 @@ TEST_F(IncrementalAuditTest, RepairHeaderDropScrubsStaleFields) {
   EXPECT_EQ(db_->field_generation(ids_.connection, c),
             db_->scrub_generation(ids_.connection, c));
   advance();
-  EXPECT_EQ(engine_->check_ranges_incremental(ids_.connection).findings, 0u);
+  EXPECT_EQ(engine_->check_ranges(ids_.connection, kIncremental).findings, 0u);
 }
 
 }  // namespace
