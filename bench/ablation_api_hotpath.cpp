@@ -4,8 +4,9 @@
 // The paper's database keeps each logical group's records on a linked
 // chain and finds free records by scanning headers, so every mutating API
 // call — DBalloc, DBfree, DBmove — costs O(N_records). The shadow index
-// (db/index.hpp) makes those operations O(log N) without changing a byte
-// of on-region format: the free slot is popped from an ordered set and
+// (db/index.hpp) makes those operations independent of table size without
+// changing a byte of on-region format: the free slot is popped from a
+// two-level bitmap and
 // the chain is spliced by rewriting only the affected link words. Two
 // arms over the Table-5-ratio bench schema (largest table 125 x scale
 // records):

@@ -543,11 +543,15 @@ CheckResult AuditEngine::ranges_scan(db::TableId t, bool exhaustive,
       continue;
     }
     if (!exhaustive && field_gen == db_.scrub_generation(t, r)) {
-      // The last field-area write was the free-record scrub: the fields
-      // equal their catalog defaults by construction (defaults come from
-      // the trusted out-of-region schema), so the freed-record rule holds
-      // without reading a byte. Any later field write — legitimate or
-      // injected through the store — breaks the equality.
+      // The last field-area write was a free-record scrub: the fields hold
+      // the defaults that scrub wrote, so the freed-record rule is taken
+      // to hold without reading a byte. The audit's own free paths write
+      // the trusted schema's defaults; DbApi::free_rec writes the in-region
+      // catalog's, which differ only while a field descriptor is corrupted
+      // (the static audit's checksum covers the catalog, and the
+      // exhaustive pass compares against the schema). Any later field
+      // write — legitimate or injected through the store — breaks the
+      // equality.
       continue;
     }
     selected.push_back(r);

@@ -151,8 +151,9 @@ class AuditEngine {
   // structural check watches but not the field generation, so link churn
   // does not force content rescans. The incremental range check
   // additionally skips freed records whose scrub attestation stands
-  // (field_generation == scrub_generation — fields are catalog defaults by
-  // construction).
+  // (field_generation == scrub_generation — fields hold the defaults the
+  // scrub wrote: the trusted schema's on the audit's free paths, the
+  // in-region catalog's on DbApi::free_rec; Database::scrub_generation).
 
   /// Golden-checksum audit of all static data; recovery reloads corrupted
   /// chunks from disk (§4.3.1).

@@ -91,16 +91,14 @@ Status DbApi::resolve(TableId t, RecordIndex r, TableDescriptor& desc,
       obs->on_client_read(pid_, 0, db_.layout().catalog_size());
     }
   };
+  // table() validates the header itself; only a failed decode needs the
+  // header re-read to tell an out-of-range table id from corruption.
   const CatalogView catalog(db_.region());
-  if (!catalog.header_ok()) {
-    catalog_failed();
-    return Status::CatalogCorrupt;
-  }
-  if (t >= catalog.table_count()) {
-    return Status::NoSuchTable;
-  }
   const auto table_desc = catalog.table(t);
   if (!table_desc) {
+    if (catalog.header_ok() && t >= catalog.table_count()) {
+      return Status::NoSuchTable;
+    }
     catalog_failed();
     return Status::CatalogCorrupt;
   }
@@ -342,13 +340,14 @@ namespace {
 
 // Resets record `r`'s data fields to their catalog defaults — the shared
 // tail of alloc (fresh records start from defaults) and free (scrubbing
-// stale call data). One catalog decode for the whole record, not one per
-// field.
-void reset_fields_to_defaults(Database& db, TableId t,
-                              const TableDescriptor& desc, std::size_t at) {
+// stale call data). `desc` is the table descriptor resolve() decoded; the
+// field stores land past the catalog's table descriptors, so it stays what
+// a fresh decode would give.
+void reset_fields_to_defaults(Database& db, const TableDescriptor& desc,
+                              std::size_t at) {
   const CatalogView catalog(db.region());
   for (FieldId f = 0; f < desc.num_fields; ++f) {
-    const auto field_desc = catalog.field(t, f);
+    const auto field_desc = catalog.field(desc, f);
     store_i32(db.region(), at + kRecordHeaderSize + static_cast<std::size_t>(f) * 4,
               field_desc ? field_desc->default_value : 0);
   }
@@ -486,7 +485,7 @@ Status DbApi::alloc_rec(TableId t, std::uint32_t group, RecordIndex& out) {
     header.status = kStatusActive;
     header.group = group;
     store_record_header(db_.region(), at, header);
-    reset_fields_to_defaults(db_, t, desc, at);
+    reset_fields_to_defaults(db_, desc, at);
     db_.note_write(at + 4, 8);  // status + group
     db_.note_write(at + kRecordHeaderSize, desc.num_fields * 4);
     splice_or_relink(t, *slot, old_group, old_next);
@@ -526,7 +525,7 @@ Status DbApi::free_rec(TableId t, RecordIndex r) {
     // Scrub the data portion back to catalog defaults so a freed record
     // carries no stale call data (and the audit can verify free records
     // exactly against their defaults).
-    reset_fields_to_defaults(db_, t, desc, at);
+    reset_fields_to_defaults(db_, desc, at);
     db_.note_write(at + 4, 8);  // status + group
     // The field rewrite above is a full scrub to catalog defaults, so the
     // store attests it: the incremental range audit can skip the freed

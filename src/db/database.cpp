@@ -7,6 +7,22 @@
 
 namespace wtc::db {
 
+namespace {
+
+// First table whose bytes end past `offset`. Tables lie back-to-back in
+// offset order, so the tables a span [offset, end) overlaps are the run
+// from here up to the first table that starts at or past `end`.
+std::size_t first_table_ending_after(const Layout& layout, std::size_t offset) {
+  const auto& tables = layout.tables();
+  const auto it = std::partition_point(
+      tables.begin(), tables.end(), [offset](const TableLayout& tl) {
+        return tl.offset + tl.record_size * tl.num_records <= offset;
+      });
+  return static_cast<std::size_t>(it - tables.begin());
+}
+
+}  // namespace
+
 Database::Database(Schema schema, const PopulateFn& populate)
     : schema_(std::move(schema)), layout_(Layout::compute(schema_)) {
   region_.resize(layout_.region_size());
@@ -93,14 +109,16 @@ void Database::mark_written(std::size_t offset, std::size_t len) noexcept {
     chunk_gen_[c] = gen;
     obs::count(obs::Counter::db_dirty_chunk_stamps);
   }
-  for (std::size_t t = 0; t < layout_.tables().size(); ++t) {
+  const auto& tables = layout_.tables();
+  for (std::size_t t = first_table_ending_after(layout_, offset);
+       t < tables.size() && tables[t].offset < end; ++t) {
     const auto range = layout_.records_overlapping(static_cast<TableId>(t),
                                                    offset, end - offset);
     if (!range) {
-      continue;
+      continue;  // a table with no records
     }
     table_gen_[t] = gen;
-    const auto& tl = layout_.tables()[t];
+    const auto& tl = tables[t];
     for (RecordIndex r = range->first; r <= range->second; ++r) {
       record_gen_[t][r] = gen;
       // The span overlaps this record; it touched the field area iff it
@@ -137,13 +155,15 @@ void Database::note_scrub(std::size_t offset, std::size_t len) noexcept {
   if (offset >= end) {
     return;
   }
-  for (std::size_t t = 0; t < layout_.tables().size(); ++t) {
+  const auto& tables = layout_.tables();
+  for (std::size_t t = first_table_ending_after(layout_, offset);
+       t < tables.size() && tables[t].offset < end; ++t) {
     const auto range = layout_.records_overlapping(static_cast<TableId>(t),
                                                    offset, end - offset);
     if (!range) {
       continue;
     }
-    const auto& tl = layout_.tables()[t];
+    const auto& tl = tables[t];
     for (RecordIndex r = range->first; r <= range->second; ++r) {
       const std::size_t field_start = tl.offset +
                                       static_cast<std::size_t>(r) * tl.record_size +

@@ -202,11 +202,16 @@ class Database {
   }
   /// Generation of the last *scrub* of record (t, r): a store write that
   /// rewrote the record's whole field area with catalog defaults (the
-  /// free-record path). While field_generation == scrub_generation > 0 the
-  /// field bytes equal their defaults by construction (the defaults come
-  /// from the trusted out-of-region schema), so the range check can attest
-  /// the record without reading it; any later field write — including
-  /// through-store corruption — breaks the equality.
+  /// free-record paths). While field_generation == scrub_generation > 0 the
+  /// field bytes are the defaults that scrub wrote, so the incremental
+  /// range check attests the record without reading it; any later field
+  /// write — including through-store corruption — breaks the equality.
+  /// The audit's paths (direct::free_record, direct::scrub_fields) write
+  /// the trusted schema's defaults, but DbApi::free_rec writes the ones it
+  /// decodes from the *in-region* catalog. The two differ only while a
+  /// field descriptor is corrupted: then an attested record holds the
+  /// corrupted default, which the exhaustive range check (comparing
+  /// against the trusted schema) flags and the incremental one skips.
   [[nodiscard]] std::uint64_t scrub_generation(TableId t, RecordIndex r) const {
     return scrub_gen_.at(t).at(r);
   }

@@ -148,12 +148,4 @@ void write_field(Database& db, TableId t, RecordIndex r, FieldId f,
   db.note_write(at, 4);
 }
 
-std::int32_t read_field(const Database& db, TableId t, RecordIndex r, FieldId f) {
-  return load_i32(db.region(), db.layout().field_offset(t, r, f));
-}
-
-RecordHeader read_header(const Database& db, TableId t, RecordIndex r) {
-  return load_record_header(db.region(), db.layout().record_offset(t, r));
-}
-
 }  // namespace wtc::db::direct

@@ -43,7 +43,8 @@ void relink_table(Database& db, TableId t);
 /// relink_table — the invariant only depends on group words, a group
 /// change at `r` can only alter those three links, and unchanged words are
 /// not rewritten (so dirty-tracking stamps and oracle overwrite accounting
-/// match too). O(log N_group) via the index instead of O(N_records).
+/// match too). Two-level bitmap searches in the index (index.hpp) instead
+/// of an O(N_records) pass.
 void splice_links(Database& db, TableId t, RecordIndex r,
                   std::uint32_t old_group, std::uint32_t old_next);
 
@@ -68,11 +69,17 @@ void repair_header(Database& db, TableId t, RecordIndex r);
 void write_field(Database& db, TableId t, RecordIndex r, FieldId f,
                  std::int32_t value);
 
-/// Reads a field directly (no locks, no API accounting).
-[[nodiscard]] std::int32_t read_field(const Database& db, TableId t, RecordIndex r,
-                                      FieldId f);
+/// Reads a field directly (no locks, no API accounting). Inline, like the
+/// header read below: the audit's scans call these once per record.
+[[nodiscard]] inline std::int32_t read_field(const Database& db, TableId t,
+                                             RecordIndex r, FieldId f) {
+  return load_i32(db.region(), db.layout().field_offset(t, r, f));
+}
 
 /// Reads a record header directly.
-[[nodiscard]] RecordHeader read_header(const Database& db, TableId t, RecordIndex r);
+[[nodiscard]] inline RecordHeader read_header(const Database& db, TableId t,
+                                              RecordIndex r) {
+  return load_record_header(db.region(), db.layout().record_offset(t, r));
+}
 
 }  // namespace wtc::db::direct

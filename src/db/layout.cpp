@@ -1,50 +1,9 @@
 #include "db/layout.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
 namespace wtc::db {
-
-std::uint32_t load_u32(std::span<const std::byte> region, std::size_t offset) noexcept {
-  std::uint32_t v = 0;
-  std::memcpy(&v, region.data() + offset, sizeof(v));
-  return v;
-}
-
-void store_u32(std::span<std::byte> region, std::size_t offset,
-               std::uint32_t value) noexcept {
-  std::memcpy(region.data() + offset, &value, sizeof(value));
-}
-
-std::int32_t load_i32(std::span<const std::byte> region, std::size_t offset) noexcept {
-  std::int32_t v = 0;
-  std::memcpy(&v, region.data() + offset, sizeof(v));
-  return v;
-}
-
-void store_i32(std::span<std::byte> region, std::size_t offset,
-               std::int32_t value) noexcept {
-  std::memcpy(region.data() + offset, &value, sizeof(value));
-}
-
-RecordHeader load_record_header(std::span<const std::byte> region,
-                                std::size_t offset) noexcept {
-  RecordHeader h;
-  h.id_tag = load_u32(region, offset);
-  h.status = load_u32(region, offset + 4);
-  h.group = load_u32(region, offset + 8);
-  h.next = load_u32(region, offset + 12);
-  return h;
-}
-
-void store_record_header(std::span<std::byte> region, std::size_t offset,
-                         const RecordHeader& header) noexcept {
-  store_u32(region, offset, header.id_tag);
-  store_u32(region, offset + 4, header.status);
-  store_u32(region, offset + 8, header.group);
-  store_u32(region, offset + 12, header.next);
-}
 
 Layout Layout::compute(const Schema& schema) {
   Layout layout;
@@ -90,23 +49,6 @@ std::optional<Layout::Location> Layout::locate(std::size_t offset) const noexcep
     }
   }
   return std::nullopt;
-}
-
-std::optional<std::pair<RecordIndex, RecordIndex>> Layout::records_overlapping(
-    TableId t, std::size_t offset, std::size_t len) const noexcept {
-  if (t >= tables_.size() || len == 0) {
-    return std::nullopt;
-  }
-  const auto& tl = tables_[t];
-  const std::size_t table_end = tl.offset + tl.record_size * tl.num_records;
-  const std::size_t lo = std::max(offset, tl.offset);
-  const std::size_t hi = std::min(offset + len, table_end);
-  if (lo >= hi) {
-    return std::nullopt;
-  }
-  return std::make_pair(
-      static_cast<RecordIndex>((lo - tl.offset) / tl.record_size),
-      static_cast<RecordIndex>((hi - 1 - tl.offset) / tl.record_size));
 }
 
 namespace {
@@ -253,14 +195,22 @@ std::optional<TableDescriptor> CatalogView::table(TableId t) const noexcept {
 
 std::optional<FieldDescriptor> CatalogView::field(TableId t, FieldId f) const noexcept {
   const auto table_desc = table(t);
-  if (!table_desc || f >= table_desc->num_fields) {
+  if (!table_desc) {
+    return std::nullopt;
+  }
+  return field(*table_desc, f);
+}
+
+std::optional<FieldDescriptor> CatalogView::field(const TableDescriptor& table,
+                                                  FieldId f) const noexcept {
+  if (f >= table.num_fields) {
     return std::nullopt;
   }
   const std::size_t fields_base =
       kCatalogHeaderSize + table_count() * kTableDescriptorSize;
   const std::size_t at =
       fields_base +
-      (static_cast<std::size_t>(table_desc->first_field_index) + f) *
+      (static_cast<std::size_t>(table.first_field_index) + f) *
           kFieldDescriptorSize;
   if (at + kFieldDescriptorSize > region_.size()) {
     return std::nullopt;

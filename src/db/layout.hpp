@@ -24,8 +24,10 @@
 // followed by the table's 32-bit fields.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <utility>
@@ -55,15 +57,28 @@ inline constexpr std::size_t kRecordHeaderSize = 16;
   return kTagSeed ^ (static_cast<std::uint32_t>(table) << 20) ^ index;
 }
 
-/// Little-endian scalar access into the region.
-[[nodiscard]] std::uint32_t load_u32(std::span<const std::byte> region,
-                                     std::size_t offset) noexcept;
-void store_u32(std::span<std::byte> region, std::size_t offset,
-               std::uint32_t value) noexcept;
-[[nodiscard]] std::int32_t load_i32(std::span<const std::byte> region,
-                                    std::size_t offset) noexcept;
-void store_i32(std::span<std::byte> region, std::size_t offset,
-               std::int32_t value) noexcept;
+/// Little-endian scalar access into the region. Inline: the audit's scans
+/// and every API op read the region through these.
+[[nodiscard]] inline std::uint32_t load_u32(std::span<const std::byte> region,
+                                            std::size_t offset) noexcept {
+  std::uint32_t v = 0;
+  std::memcpy(&v, region.data() + offset, sizeof(v));
+  return v;
+}
+inline void store_u32(std::span<std::byte> region, std::size_t offset,
+                      std::uint32_t value) noexcept {
+  std::memcpy(region.data() + offset, &value, sizeof(value));
+}
+[[nodiscard]] inline std::int32_t load_i32(std::span<const std::byte> region,
+                                           std::size_t offset) noexcept {
+  std::int32_t v = 0;
+  std::memcpy(&v, region.data() + offset, sizeof(v));
+  return v;
+}
+inline void store_i32(std::span<std::byte> region, std::size_t offset,
+                      std::int32_t value) noexcept {
+  std::memcpy(region.data() + offset, &value, sizeof(value));
+}
 
 /// Decoded in-region record header.
 struct RecordHeader {
@@ -73,10 +88,22 @@ struct RecordHeader {
   std::uint32_t next = kNilLink;
 };
 
-[[nodiscard]] RecordHeader load_record_header(std::span<const std::byte> region,
-                                              std::size_t offset) noexcept;
-void store_record_header(std::span<std::byte> region, std::size_t offset,
-                         const RecordHeader& header) noexcept;
+[[nodiscard]] inline RecordHeader load_record_header(
+    std::span<const std::byte> region, std::size_t offset) noexcept {
+  RecordHeader h;
+  h.id_tag = load_u32(region, offset);
+  h.status = load_u32(region, offset + 4);
+  h.group = load_u32(region, offset + 8);
+  h.next = load_u32(region, offset + 12);
+  return h;
+}
+inline void store_record_header(std::span<std::byte> region, std::size_t offset,
+                                const RecordHeader& header) noexcept {
+  store_u32(region, offset, header.id_tag);
+  store_u32(region, offset + 4, header.status);
+  store_u32(region, offset + 8, header.group);
+  store_u32(region, offset + 12, header.next);
+}
 
 /// Computed (trusted, out-of-region) layout of one table.
 struct TableLayout {
@@ -123,10 +150,25 @@ class Layout {
 
   /// Inclusive [first, last] record indices of table `t` overlapping the
   /// byte span [offset, offset+len); nullopt when the span misses the
-  /// table entirely. Write-time dirty tracking stamps exactly this range.
+  /// table entirely. Write-time dirty tracking stamps exactly this range,
+  /// on every store write (hence inline).
   [[nodiscard]] std::optional<std::pair<RecordIndex, RecordIndex>>
   records_overlapping(TableId t, std::size_t offset,
-                      std::size_t len) const noexcept;
+                      std::size_t len) const noexcept {
+    if (t >= tables_.size() || len == 0) {
+      return std::nullopt;
+    }
+    const auto& tl = tables_[t];
+    const std::size_t table_end = tl.offset + tl.record_size * tl.num_records;
+    const std::size_t lo = std::max(offset, tl.offset);
+    const std::size_t hi = std::min(offset + len, table_end);
+    if (lo >= hi) {
+      return std::nullopt;
+    }
+    return std::make_pair(
+        static_cast<RecordIndex>((lo - tl.offset) / tl.record_size),
+        static_cast<RecordIndex>((hi - 1 - tl.offset) / tl.record_size));
+  }
 
  private:
   std::size_t region_size_ = 0;
@@ -188,6 +230,10 @@ class CatalogView {
   /// Decodes the descriptor of field `f` of table `t` (field index local
   /// to the table).
   [[nodiscard]] std::optional<FieldDescriptor> field(TableId t,
+                                                     FieldId f) const noexcept;
+  /// As above, for a table descriptor the caller already decoded with
+  /// table() from this region — one table decode for many fields.
+  [[nodiscard]] std::optional<FieldDescriptor> field(const TableDescriptor& table,
                                                      FieldId f) const noexcept;
 
  private:

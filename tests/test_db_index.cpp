@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <optional>
+#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -32,6 +35,198 @@ bool all_indexes_verify(const Database& db) {
     }
   }
   return true;
+}
+
+// Ordered-set reference model of one TableIndex: what the bitmaps must
+// answer for every query.
+class SetModel {
+ public:
+  explicit SetModel(RecordIndex size) : group_of_(size, TableIndex::kNoGroup) {}
+
+  void sync(RecordIndex r, std::uint32_t status, std::uint32_t group) {
+    if (group_of_[r] != TableIndex::kNoGroup) {
+      groups_[group_of_[r]].erase(r);
+    }
+    group_of_[r] = group < kMaxGroups ? static_cast<std::uint8_t>(group)
+                                      : TableIndex::kNoGroup;
+    if (group_of_[r] != TableIndex::kNoGroup) {
+      groups_[group_of_[r]].insert(r);
+    }
+    if (status == kStatusFree) {
+      free_.insert(r);
+    } else {
+      free_.erase(r);
+    }
+  }
+
+  [[nodiscard]] std::optional<RecordIndex> first_free() const {
+    if (free_.empty()) {
+      return std::nullopt;
+    }
+    return *free_.begin();
+  }
+  [[nodiscard]] std::optional<RecordIndex> pred(std::uint32_t g, RecordIndex r) const {
+    const auto& members = groups_[g];
+    const auto it = members.lower_bound(r);
+    if (it == members.begin()) {
+      return std::nullopt;
+    }
+    return *std::prev(it);
+  }
+  [[nodiscard]] std::optional<RecordIndex> succ(std::uint32_t g, RecordIndex r) const {
+    const auto it = groups_[g].upper_bound(r);
+    if (it == groups_[g].end()) {
+      return std::nullopt;
+    }
+    return *it;
+  }
+  [[nodiscard]] std::size_t member_count(std::uint32_t g) const {
+    return groups_[g].size();
+  }
+  [[nodiscard]] std::size_t free_count() const { return free_.size(); }
+  [[nodiscard]] std::uint8_t group_of(RecordIndex r) const { return group_of_[r]; }
+  [[nodiscard]] bool is_free(RecordIndex r) const { return free_.count(r) != 0; }
+
+ private:
+  std::array<std::set<RecordIndex>, kMaxGroups> groups_;
+  std::set<RecordIndex> free_;
+  std::vector<std::uint8_t> group_of_;
+};
+
+// Every query of `index` at record `r` agrees with the model.
+void expect_queries_match(const TableIndex& index, const SetModel& model,
+                          RecordIndex r) {
+  for (std::uint32_t g = 0; g < kMaxGroups; ++g) {
+    ASSERT_EQ(index.pred(g, r), model.pred(g, r)) << "pred g=" << g << " r=" << r;
+    ASSERT_EQ(index.succ(g, r), model.succ(g, r)) << "succ g=" << g << " r=" << r;
+  }
+  ASSERT_EQ(index.group_of(r), model.group_of(r)) << "r=" << r;
+}
+
+void expect_counts_match(const TableIndex& index, const SetModel& model) {
+  ASSERT_EQ(index.first_free(), model.first_free());
+  ASSERT_EQ(index.free_count(), model.free_count());
+  for (std::uint32_t g = 0; g < kMaxGroups; ++g) {
+    ASSERT_EQ(index.member_count(g), model.member_count(g)) << "g=" << g;
+  }
+}
+
+// Random syncs against the ordered-set model, on table sizes around the
+// 64-record word and 4096-record summary-bit boundaries (4097 and 100 are
+// not multiples of 64). Half the syncs hit the boundary records, and the
+// status/group values include out-of-range ones. The second half of the
+// syncs mostly removes records, so the sets thin out and searches cross
+// empty words.
+TEST(TableIndexModel, RandomSyncsMatchOrderedSetModel) {
+  common::Rng rng(0xB17B17u);
+  for (const RecordIndex size : {1u, 64u, 100u, 4096u, 4097u, 8300u}) {
+    std::vector<RecordIndex> edges;
+    for (const RecordIndex r : {0u, 1u, 62u, 63u, 64u, 65u, 127u, 128u, 4095u,
+                                4096u, 4097u, 8191u, 8192u}) {
+      if (r < size) {
+        edges.push_back(r);
+      }
+    }
+    edges.push_back(size - 1);
+    TableIndex index;
+    index.reset(size);
+    SetModel model(size);
+    for (int op = 0; op < 4000; ++op) {
+      const RecordIndex r =
+          rng.uniform(2) == 0
+              ? edges[rng.uniform(edges.size())]
+              : static_cast<RecordIndex>(rng.uniform(size));
+      const bool remove = op >= 2000 && rng.uniform(4) != 0;
+      const auto status_pick = remove ? 1 : rng.uniform(3);
+      const std::uint32_t status = status_pick == 0   ? kStatusFree
+                                   : status_pick == 1 ? kStatusActive
+                                                      : 0xDEADu;
+      // Few groups so chains are dense enough to have neighbours; 1 in 8
+      // other syncs stores an out-of-range group word.
+      const std::uint32_t group =
+          remove || rng.uniform(8) == 0
+              ? kMaxGroups + static_cast<std::uint32_t>(rng.uniform(3))
+              : static_cast<std::uint32_t>(rng.uniform(4));
+      index.sync(r, status, group);
+      model.sync(r, status, group);
+      ASSERT_NO_FATAL_FAILURE(expect_counts_match(index, model)) << "size " << size;
+      ASSERT_NO_FATAL_FAILURE(expect_queries_match(index, model, r));
+      if (op % 16 == 0) {
+        for (const RecordIndex e : edges) {
+          ASSERT_NO_FATAL_FAILURE(expect_queries_match(index, model, e))
+              << "size " << size << " op " << op;
+        }
+      }
+    }
+    // The index is a pure function of the synced words: one rebuilt from
+    // the final state compares equal (what verify_index relies on).
+    TableIndex rebuilt;
+    rebuilt.reset(size);
+    for (RecordIndex r = 0; r < size; ++r) {
+      const std::uint8_t g = model.group_of(r);
+      rebuilt.sync(r, model.is_free(r) ? kStatusFree : kStatusActive,
+                   g == TableIndex::kNoGroup ? kMaxGroups : g);
+    }
+    EXPECT_TRUE(rebuilt == index) << "size " << size;
+    rebuilt.sync(size - 1, model.is_free(size - 1) ? kStatusActive : kStatusFree,
+                 0);
+    EXPECT_FALSE(rebuilt == index) << "size " << size;
+  }
+}
+
+// A 300001-record table (not a multiple of 64) whose group 3 has three
+// members, and one free record at the far end: neighbour and free-slot
+// searches skip thousands of empty words, in both directions, and cross
+// the boundary between the first and second summary words (record
+// 262144 = 64 * 4096).
+TEST(TableIndexModel, SparseGroupInLargeTableCrossesSummaryWords) {
+  constexpr RecordIndex kSize = 300001;
+  constexpr std::uint32_t kGroup = 3;
+  TableIndex index;
+  index.reset(kSize);
+  SetModel model(kSize);
+  const auto sync = [&](RecordIndex r, std::uint32_t status, std::uint32_t group) {
+    index.sync(r, status, group);
+    model.sync(r, status, group);
+  };
+  for (RecordIndex r = 0; r < kSize; ++r) {
+    sync(r, kStatusActive, 1);
+  }
+  for (const RecordIndex r : {7u, 262144u, 300000u}) {
+    sync(r, kStatusActive, kGroup);
+  }
+  sync(299999, kStatusFree, 0);
+
+  EXPECT_EQ(index.member_count(kGroup), 3u);
+  EXPECT_EQ(index.free_count(), 1u);
+  EXPECT_EQ(index.first_free(), std::optional<RecordIndex>{299999});
+  EXPECT_EQ(index.succ(kGroup, 0), std::optional<RecordIndex>{7});
+  EXPECT_EQ(index.succ(kGroup, 7), std::optional<RecordIndex>{262144});
+  EXPECT_EQ(index.succ(kGroup, 262143), std::optional<RecordIndex>{262144});
+  EXPECT_EQ(index.succ(kGroup, 262144), std::optional<RecordIndex>{300000});
+  EXPECT_EQ(index.succ(kGroup, 300000), std::nullopt);
+  EXPECT_EQ(index.pred(kGroup, 300000), std::optional<RecordIndex>{262144});
+  EXPECT_EQ(index.pred(kGroup, 262144), std::optional<RecordIndex>{7});
+  EXPECT_EQ(index.pred(kGroup, 262145), std::optional<RecordIndex>{262144});
+  EXPECT_EQ(index.pred(kGroup, 7), std::nullopt);
+  EXPECT_EQ(index.pred(kGroup, kSize), std::nullopt);  // not a record
+  for (const RecordIndex r : {0u, 6u, 7u, 8u, 4095u, 4096u, 131072u, 262143u,
+                              262144u, 262145u, 299999u, 300000u}) {
+    ASSERT_NO_FATAL_FAILURE(expect_queries_match(index, model, r)) << r;
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_counts_match(index, model));
+
+  // Empty the group one member at a time; the searches must follow.
+  sync(262144, kStatusActive, 1);
+  EXPECT_EQ(index.succ(kGroup, 7), std::optional<RecordIndex>{300000});
+  EXPECT_EQ(index.pred(kGroup, 300000), std::optional<RecordIndex>{7});
+  sync(7, kStatusActive, 1);
+  sync(300000, kStatusActive, 1);
+  EXPECT_EQ(index.member_count(kGroup), 0u);
+  EXPECT_EQ(index.succ(kGroup, 0), std::nullopt);
+  EXPECT_EQ(index.pred(kGroup, 300000), std::nullopt);
+  sync(299999, kStatusActive, 1);
+  EXPECT_EQ(index.first_free(), std::nullopt);
 }
 
 class IndexTest : public ::testing::Test {
@@ -68,7 +263,7 @@ TEST_F(IndexTest, ApiMutationsKeepIndexInSync) {
   EXPECT_TRUE(db_->verify_index(ids_.process));
   const auto& index = db_->index(ids_.process);
   EXPECT_EQ(index.group_of(a), kGroupStableCalls);
-  EXPECT_TRUE(index.members(kGroupActiveCalls).empty());
+  EXPECT_EQ(index.member_count(kGroupActiveCalls), 0u);
 }
 
 // The heart of the PR: a randomized alloc/free/move campaign driven
@@ -138,13 +333,13 @@ TEST_F(IndexTest, IndexRebuiltAfterReloadAndInstallImage) {
   auto other = make_controller_database();
   ASSERT_TRUE(other->install_image(image));
   EXPECT_TRUE(all_indexes_verify(*other));
-  EXPECT_EQ(other->index(ids_.process).members(kGroupActiveCalls).size(), 1u);
+  EXPECT_EQ(other->index(ids_.process).member_count(kGroupActiveCalls), 1u);
 
   // A full reload-from-disk (recovery escalation) rewinds the region to
   // the pristine image; the resync must follow it back.
   db_->reload_all_from_disk();
   EXPECT_TRUE(all_indexes_verify(*db_));
-  EXPECT_TRUE(db_->index(ids_.process).members(kGroupActiveCalls).empty());
+  EXPECT_EQ(db_->index(ids_.process).member_count(kGroupActiveCalls), 0u);
 }
 
 TEST_F(IndexTest, AuditHeaderRepairResyncsIndex) {

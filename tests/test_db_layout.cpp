@@ -3,6 +3,7 @@
 #include "db/controller_schema.hpp"
 #include "db/database.hpp"
 #include "db/layout.hpp"
+#include "obs/metrics.hpp"
 
 namespace wtc::db {
 namespace {
@@ -239,6 +240,120 @@ TEST(Database, LockLifecycle) {
   EXPECT_EQ(db.held_locks().size(), 2u);
   db.release_locks_of(5);
   EXPECT_TRUE(db.held_locks().empty());
+}
+
+// Four dynamic tables, so a span at the seam of the middle two has a
+// table on either side that it must not stamp.
+Schema four_table_schema() {
+  SchemaBuilder b;
+  b.table("A", 5).ranged("a", 0, 9);
+  b.table("B", 3).ranged("b0", 0, 9).ranged("b1", 0, 9);
+  b.table("C", 4).ranged("c", 0, 9);
+  b.table("D", 2).ranged("d", 0, 9);
+  return std::move(b).build();
+}
+
+// Every record's record/header/field generation, in table order.
+struct Stamps {
+  std::vector<std::uint64_t> record, header, field;
+  bool operator==(const Stamps&) const = default;
+};
+
+Stamps stamps_of(const Database& db) {
+  Stamps s;
+  for (TableId t = 0; t < db.table_count(); ++t) {
+    for (RecordIndex r = 0; r < db.layout().table(t).num_records; ++r) {
+      s.record.push_back(db.record_generation(t, r));
+      s.header.push_back(db.header_generation(t, r));
+      s.field.push_back(db.field_generation(t, r));
+    }
+  }
+  return s;
+}
+
+TEST(Database, DirtyStampSpanAcrossTableSeamStampsBothTables) {
+  Database db(four_table_schema());
+  const TableId b = 1;
+  const TableId c = 2;
+  const std::size_t b_last = db.layout().record_offset(b, 2);
+  const std::size_t c_first = db.layout().record_offset(c, 0);
+  ASSERT_EQ(b_last + db.layout().table(b).record_size, c_first);
+  // One raw write from B's last status word through C's first group word,
+  // then one mark_written for the whole span (the through-store path).
+  store_u32(db.region(), b_last + 4, kStatusActive);
+  store_u32(db.region(), b_last + 8, 5);
+  store_u32(db.region(), c_first + 4, kStatusActive);
+  store_u32(db.region(), c_first + 8, 2);
+
+  obs::Recorder recorder;
+  {
+    obs::ScopedRecorder scoped(recorder);
+    db.mark_written(b_last + 4, c_first + 12 - (b_last + 4));
+  }
+  ASSERT_EQ(db.write_generation(), 1u);
+  EXPECT_EQ(recorder.snapshot().counter(obs::Counter::db_index_resyncs), 2u);
+
+  // Records in table order: A0..A4, B0..B2, C0..C3, D0..D1.
+  Stamps want;
+  want.record.assign(14, 0);
+  want.header.assign(14, 0);
+  want.field.assign(14, 0);
+  want.record[7] = want.header[7] = 1;  // B2: status, group, link, fields
+  want.field[7] = 1;
+  want.record[8] = want.header[8] = 1;  // C0: id, status, group only
+  EXPECT_EQ(stamps_of(db), want);
+  EXPECT_EQ(db.table_generation(0), 0u);
+  EXPECT_EQ(db.table_generation(b), 1u);
+  EXPECT_EQ(db.table_generation(c), 1u);
+  EXPECT_EQ(db.table_generation(3), 0u);
+  EXPECT_EQ(db.table_field_generation(b), 1u);
+  EXPECT_EQ(db.table_field_generation(c), 0u);
+  EXPECT_EQ(db.table_header_generation(c), 1u);
+  // Both records' new status/group words reached their shadow indexes.
+  EXPECT_EQ(db.index(b).group_of(2), 5u);
+  EXPECT_EQ(db.index(c).group_of(0), 2u);
+  EXPECT_TRUE(db.verify_index(b));
+  EXPECT_TRUE(db.verify_index(c));
+}
+
+TEST(Database, DirtyStampCatalogOnlySpanStampsNoTable) {
+  Database db(four_table_schema());
+  obs::Recorder recorder;
+  {
+    obs::ScopedRecorder scoped(recorder);
+    db.mark_written(0, db.layout().catalog_size());
+  }
+  EXPECT_EQ(db.write_generation(), 1u);
+  EXPECT_TRUE(db.span_written_since(0, db.layout().catalog_size(), 0));
+  EXPECT_EQ(recorder.snapshot().counter(obs::Counter::db_index_resyncs), 0u);
+  Stamps none;
+  none.record.assign(14, 0);
+  none.header.assign(14, 0);
+  none.field.assign(14, 0);
+  EXPECT_EQ(stamps_of(db), none);
+  for (TableId t = 0; t < db.table_count(); ++t) {
+    EXPECT_EQ(db.table_generation(t), 0u) << t;
+  }
+}
+
+TEST(Database, DirtyStampInstallImageStampsEveryRecord) {
+  Database db(four_table_schema());
+  const std::vector<std::byte> image(db.region().begin(), db.region().end());
+  obs::Recorder recorder;
+  {
+    obs::ScopedRecorder scoped(recorder);
+    ASSERT_TRUE(db.install_image(image));
+  }
+  ASSERT_EQ(db.write_generation(), 1u);
+  EXPECT_EQ(recorder.snapshot().counter(obs::Counter::db_index_resyncs), 14u);
+  Stamps all;
+  all.record.assign(14, 1);
+  all.header.assign(14, 1);
+  all.field.assign(14, 1);
+  EXPECT_EQ(stamps_of(db), all);
+  for (TableId t = 0; t < db.table_count(); ++t) {
+    EXPECT_EQ(db.table_generation(t), 1u) << t;
+  }
 }
 
 TEST(ControllerSchema, ResolvesAndPopulates) {
