@@ -8,6 +8,9 @@
 // Invariants:
 //   * the decoder never crashes, and a rejected input yields a typed
 //     error with NO events (all-or-nothing);
+//   * the decoder's event storage is bounded by its input, whatever the
+//     chunk headers claim: at most one event per 11 bytes (the smallest
+//     encoded event);
 //   * decoding is deterministic (two decodes agree byte-for-byte);
 //   * an accepted log re-encodes to a stream that decodes to the same
 //     events (the format is lossless for everything validation admits);
@@ -160,6 +163,8 @@ bool same_findings(const std::vector<audit::Finding>& a,
 int fuzz_oplog(const std::uint8_t* data, std::size_t size) {
   const std::span<const std::uint8_t> bytes(data, size);
   const db::OpLogReadResult first = db::decode_op_log(bytes);
+  require(first.events.capacity() <= size / 11,
+          "decode reserves at most one event per 11 input bytes");
   if (!first.ok()) {
     require(first.events.empty(),
             "rejected log yields no events (all-or-nothing)");

@@ -1,7 +1,7 @@
 #include "audit/replay.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstring>
 
 #include "audit/engine.hpp"
 #include "db/direct.hpp"
@@ -10,34 +10,18 @@
 namespace wtc::audit {
 namespace {
 
-// FNV-1a, 64-bit: the chain-signature mixer. Not cryptographic — a
-// signature collision merely merges two chains' dedup classes, and the
-// shadow compare still catches any end-state divergence that causes.
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+constexpr std::uint32_t kNoChain = 0xFFFFFFFFu;
 
-void mix(std::uint64_t& hash, std::uint64_t value) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (i * 8)) & 0xFFu;
-    hash *= kFnvPrime;
+/// Folds `count` consecutive 32-bit words at `words` into a signature,
+/// two per step (an odd count's last step has a zero high half).
+[[nodiscard]] std::uint64_t mix_words(std::uint64_t hash, const std::byte* words,
+                                      std::size_t count) noexcept {
+  for (std::size_t i = 0; i < count; i += 2) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, words + i * 4, i + 1 < count ? 8 : 4);
+    hash = mix_signature(hash, word);
   }
-}
-
-/// Is this event one of the region-mutating ops replay interprets?
-[[nodiscard]] bool replayable(const db::ApiEvent& event) noexcept {
-  if (!event.is_update || event.status != db::Status::Ok) {
-    return false;
-  }
-  switch (event.op) {
-    case db::ApiOp::WriteRec:
-    case db::ApiOp::WriteFld:
-    case db::ApiOp::Move:
-    case db::ApiOp::Alloc:
-    case db::ApiOp::Free:
-      return true;
-    default:
-      return false;
-  }
+  return hash;
 }
 
 /// A maximal contiguous run of mismatching 32-bit words.
@@ -54,10 +38,43 @@ struct MismatchRun {
 
 }  // namespace
 
+bool replayable(const db::ApiEvent& event) noexcept {
+  if (!event.is_update || event.status != db::Status::Ok) {
+    return false;
+  }
+  switch (event.op) {
+    case db::ApiOp::WriteRec:
+    case db::ApiOp::WriteFld:
+    case db::ApiOp::Move:
+    case db::ApiOp::Alloc:
+    case db::ApiOp::Free:
+      return true;
+    default:
+      return false;
+  }
+}
+
+std::uint64_t chain_seed(db::TableId table) noexcept {
+  return mix_signature(0xcbf29ce484222325ull, table);
+}
+
+std::uint64_t mix_op(std::uint64_t hash, const db::ApiEvent& event) noexcept {
+  hash = mix_signature(hash, static_cast<std::uint64_t>(event.op) |
+                                 static_cast<std::uint64_t>(event.payload_len) << 8 |
+                                 static_cast<std::uint64_t>(event.field) << 16 |
+                                 static_cast<std::uint64_t>(event.group) << 32);
+  return mix_words(hash, reinterpret_cast<const std::byte*>(event.payload.data()),
+                   event.payload_len);
+}
+
 ReplayAuditor::ReplayAuditor(const db::Database& db, ReplayConfig config)
     : db_(db), config_(config) {
   if (config_.replay_threads > 1) {
     pool_ = std::make_unique<common::WorkerPool>(config_.replay_threads - 1);
+  }
+  table_base_.push_back(0);
+  for (const db::TableLayout& table : db_.layout().tables()) {
+    table_base_.push_back(table_base_.back() + table.num_records);
   }
 }
 
@@ -72,155 +89,156 @@ void ReplayAuditor::dispatch(std::size_t workers,
   }
 }
 
-std::uint64_t ReplayAuditor::chain_signature(
-    const Chain& chain, std::span<const db::ApiEvent> events) const {
-  std::uint64_t hash = kFnvOffset;
-  mix(hash, chain.table);
-  const db::ApiEvent& first = events[chain.ops.front()];
-  if (first.op != db::ApiOp::Alloc) {
-    // The chain's end state depends on where it started: fold in the
-    // pristine start state (status, group, every field). Chains that
-    // begin with an Alloc are start-independent — Alloc resets the
-    // record wholesale — so their signatures stay record-agnostic.
-    const auto pristine = db_.pristine();
-    const std::size_t at = db_.layout().record_offset(chain.table, chain.record);
-    mix(hash, db::load_u32(pristine, at + 4));
-    mix(hash, db::load_u32(pristine, at + 8));
-    const std::size_t num_fields = db_.layout().table(chain.table).num_fields;
-    for (std::size_t f = 0; f < num_fields; ++f) {
-      mix(hash, static_cast<std::uint32_t>(
-                    db::load_i32(pristine, at + db::kRecordHeaderSize + f * 4)));
-    }
-  }
-  for (const std::uint32_t index : chain.ops) {
-    const db::ApiEvent& event = events[index];
-    mix(hash, static_cast<std::uint8_t>(event.op));
-    mix(hash, event.group);
-    mix(hash, event.field);
-    mix(hash, event.payload_len);
-    for (std::uint8_t f = 0; f < event.payload_len; ++f) {
-      mix(hash, static_cast<std::uint32_t>(event.payload[f]));
-    }
-  }
-  return hash;
-}
-
-ReplayAuditor::RecordState ReplayAuditor::execute_chain(
-    const Chain& chain, std::span<const db::ApiEvent> events) const {
-  const auto& layout = db_.layout();
+void ReplayAuditor::execute_chain(const Chain& chain,
+                                  std::span<const db::ApiEvent> events,
+                                  std::int32_t* state) const {
   const auto& fields = db_.schema().tables.at(chain.table).fields;
-  const std::size_t num_fields = layout.table(chain.table).num_fields;
-  const std::size_t at = layout.record_offset(chain.table, chain.record);
-
-  RecordState state;
-  state.fields.resize(num_fields);
+  const std::size_t num_fields = db_.layout().table(chain.table).num_fields;
+  const std::size_t at = db_.layout().record_offset(chain.table, chain.record);
+  // state: [status, group, fields...], the record's words from +4 on
+  // minus the next link, starting from the pristine image.
   const auto pristine = db_.pristine();
-  state.status = db::load_u32(pristine, at + 4);
-  state.group = db::load_u32(pristine, at + 8);
-  for (std::size_t f = 0; f < num_fields; ++f) {
-    state.fields[f] = db::load_i32(pristine, at + db::kRecordHeaderSize + f * 4);
-  }
-  const auto scrub = [&]() {
+  std::memcpy(state, pristine.data() + at + 4, 8);
+  std::int32_t* const values = state + 2;
+  std::memcpy(values, pristine.data() + at + db::kRecordHeaderSize, num_fields * 4);
+  const auto reset = [&](std::uint32_t status, std::uint32_t group) {
+    state[0] = static_cast<std::int32_t>(status);
+    state[1] = static_cast<std::int32_t>(group);
     for (std::size_t f = 0; f < num_fields; ++f) {
-      state.fields[f] = fields[f].default_value;
+      values[f] = fields[f].default_value;
     }
   };
-  for (const std::uint32_t index : chain.ops) {
+  std::uint32_t index = chain.first;
+  for (std::uint32_t n = 0; n < chain.length; ++n, index = next_[index]) {
     const db::ApiEvent& event = events[index];
     switch (event.op) {
       case db::ApiOp::Alloc:
-        state.status = db::kStatusActive;
-        state.group = event.group;
-        scrub();
+        reset(db::kStatusActive, event.group);
         break;
       case db::ApiOp::WriteRec: {
         // Update events snapshot the record's post-write fields
         // (min(num_fields, 8) of them — every shipped schema fits).
-        const std::size_t n =
+        const std::size_t n_fields =
             std::min<std::size_t>(event.payload_len, num_fields);
-        for (std::size_t f = 0; f < n; ++f) {
-          state.fields[f] = event.payload[f];
-        }
+        std::copy_n(event.payload.begin(), n_fields, values);
         break;
       }
       case db::ApiOp::WriteFld:
         if (event.field < num_fields && event.payload_len >= 1) {
-          state.fields[event.field] = event.payload[0];
+          values[event.field] = event.payload[0];
         }
         break;
       case db::ApiOp::Move:
-        state.group = event.group;
+        state[1] = static_cast<std::int32_t>(event.group);
         break;
       case db::ApiOp::Free:
-        state.status = db::kStatusFree;
-        state.group = 0;
-        scrub();
+        reset(db::kStatusFree, 0);
         break;
       default:
         break;
     }
   }
-  return state;
 }
 
 ReplayResult ReplayAuditor::run(std::span<const db::ApiEvent> events) {
   const auto& layout = db_.layout();
+  const auto pristine = db_.pristine();
   ReplayResult result;
   ReplayStats& stats = result.stats;
 
-  // --- select + group: per-(table, record) chains, arrival order,
-  // segmented at lifecycle boundaries — every Alloc starts a fresh chain
-  // (the record is reborn from a state Alloc fully determines), so
-  // repeated call cycles on a reused record slot become *separate*
-  // record-agnostic chains the dedup pass can collapse ---
-  std::vector<Chain> chains;
-  std::unordered_map<std::uint64_t, std::size_t> chain_of;  // key -> index
+  // --- select + group + sign, one pass: per-(table, record) chains,
+  // arrival order, segmented at lifecycle boundaries — every Alloc starts
+  // a fresh chain (the record is reborn from a state Alloc fully
+  // determines), so repeated call cycles on a reused record slot become
+  // *separate* record-agnostic chains the dedup pass can collapse ---
+  open_chain_.assign(table_base_.back(), kNoChain);
+  if (next_.size() < events.size()) {
+    next_.resize(events.size());
+  }
+  chains_.clear();
+  const std::size_t num_tables = layout.tables().size();
   for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(events.size()); ++i) {
     const db::ApiEvent& event = events[i];
-    if (!replayable(event) || event.table >= layout.tables().size() ||
-        event.record >= layout.table(event.table).num_records) {
+    if (!replayable(event) || event.table >= num_tables ||
+        event.record >= table_base_[event.table + 1] - table_base_[event.table]) {
       continue;
     }
     ++stats.total_ops;
-    const std::uint64_t key =
-        static_cast<std::uint64_t>(event.table) << 32 | event.record;
-    auto it = chain_of.find(key);
-    if (it == chain_of.end() || event.op == db::ApiOp::Alloc) {
-      it = chain_of.insert_or_assign(key, chains.size()).first;
-      chains.push_back(Chain{event.table, event.record, {}, 0, 0});
+    std::uint32_t& open = open_chain_[table_base_[event.table] + event.record];
+    if (open == kNoChain || event.op == db::ApiOp::Alloc) {
+      open = static_cast<std::uint32_t>(chains_.size());
+      Chain& chain = chains_.emplace_back();
+      chain.signature = chain_seed(event.table);
+      chain.first = i;
+      chain.table = event.table;
+      chain.record = event.record;
+      if (event.op != db::ApiOp::Alloc) {
+        // The chain's end state depends on where it started: fold in the
+        // pristine start state (status, group, every field). Chains that
+        // begin with an Alloc are start-independent — Alloc resets the
+        // record wholesale — so their signatures stay record-agnostic.
+        const std::byte* record =
+            pristine.data() + layout.record_offset(event.table, event.record);
+        chain.signature = mix_words(chain.signature, record + 4, 2);
+        chain.signature = mix_words(chain.signature, record + db::kRecordHeaderSize,
+                                    layout.table(event.table).num_fields);
+      }
+    } else {
+      next_[chains_[open].last] = i;
     }
-    chains[it->second].ops.push_back(i);
+    Chain& chain = chains_[open];
+    chain.last = i;
+    ++chain.length;
+    chain.signature = mix_op(chain.signature, event);
   }
-  stats.chains = chains.size();
+  stats.chains = chains_.size();
 
-  // --- dedup: signature -> first chain with it becomes the executor ---
-  std::vector<std::size_t> uniques;  // chain indices, discovery order
-  std::unordered_map<std::uint64_t, std::size_t> unique_of;  // sig -> slot
-  for (auto& chain : chains) {
-    chain.signature = chain_signature(chain, events);
-    const auto [it, inserted] =
-        unique_of.try_emplace(chain.signature, uniques.size());
-    if (inserted) {
-      uniques.push_back(static_cast<std::size_t>(&chain - chains.data()));
-    }
-    chain.unique_index = it->second;
+  // --- dedup: the first chain with a signature becomes the executor.
+  // Open addressing over a power-of-two table at most half full ---
+  std::size_t buckets = 1;
+  while (buckets < 2 * chains_.size()) {
+    buckets <<= 1;
   }
-  stats.unique_chains = uniques.size();
+  const std::size_t mask = buckets - 1;
+  unique_bucket_.assign(buckets, 0);
+  uniques_.clear();
+  std::size_t state_words = 0;
+  for (std::uint32_t c = 0; c < static_cast<std::uint32_t>(chains_.size()); ++c) {
+    Chain& chain = chains_[c];
+    for (std::size_t b = chain.signature & mask;; b = (b + 1) & mask) {
+      std::uint32_t& bucket = unique_bucket_[b];
+      if (bucket == 0) {
+        chain.unique = static_cast<std::uint32_t>(uniques_.size());
+        bucket = chain.unique + 1;
+        uniques_.push_back(Unique{chain.signature, c, state_words});
+        state_words += 2 + layout.table(chain.table).num_fields;
+        break;
+      }
+      if (uniques_[bucket - 1].signature == chain.signature) {
+        chain.unique = bucket - 1;
+        break;
+      }
+    }
+  }
+  stats.unique_chains = uniques_.size();
   obs::count(obs::Counter::replay_chains, stats.chains);
   obs::count(obs::Counter::replay_deduped, stats.deduped());
 
   // --- execute each unique chain exactly once (parallel, strided into
   // preallocated slots: bit-identical at any worker count) ---
-  std::vector<RecordState> end_states(uniques.size());
-  std::vector<sim::Duration> chain_costs(uniques.size(), 0);
+  if (states_.size() < state_words) {
+    states_.resize(state_words);
+  }
+  std::vector<sim::Duration> chain_costs(uniques_.size(), 0);
   const std::size_t workers = std::max<std::size_t>(1, config_.replay_threads);
   dispatch(workers, [&](std::size_t w) {
-    for (std::size_t u = w; u < uniques.size(); u += workers) {
-      end_states[u] = execute_chain(chains[uniques[u]], events);
+    for (std::size_t u = w; u < uniques_.size(); u += workers) {
+      execute_chain(chains_[uniques_[u].chain], events,
+                    states_.data() + uniques_[u].state_at);
     }
   });
-  for (std::size_t u = 0; u < uniques.size(); ++u) {
-    const std::uint64_t ops = chains[uniques[u]].ops.size();
+  for (std::size_t u = 0; u < uniques_.size(); ++u) {
+    const std::uint64_t ops = chains_[uniques_[u].chain].length;
     stats.executed_ops += ops;
     chain_costs[u] = scaled(ops, config_.cost_per_op, config_.cost_scale);
   }
@@ -230,19 +248,16 @@ ReplayResult ReplayAuditor::run(std::span<const db::ApiEvent> events) {
   // recompute each table's group links (replay's analog of relink).
   // Chains are applied in creation order (chronological by segment
   // start), so a record's last lifecycle overwrites its earlier ones ---
-  const auto pristine = db_.pristine();
-  std::vector<std::byte> shadow(pristine.begin(), pristine.end());
-  for (const Chain& chain : chains) {
-    const RecordState& state = end_states[chain.unique_index];
+  shadow_.assign(pristine.begin(), pristine.end());
+  const std::span<std::byte> shadow(shadow_);
+  for (const Chain& chain : chains_) {
+    const std::int32_t* state = states_.data() + uniques_[chain.unique].state_at;
     const std::size_t at = layout.record_offset(chain.table, chain.record);
-    db::store_u32(shadow, at + 4, state.status);
-    db::store_u32(shadow, at + 8, state.group);
-    for (std::size_t f = 0; f < state.fields.size(); ++f) {
-      db::store_i32(shadow, at + db::kRecordHeaderSize + f * 4,
-                    state.fields[f]);
-    }
+    std::memcpy(shadow.data() + at + 4, state, 8);
+    std::memcpy(shadow.data() + at + db::kRecordHeaderSize, state + 2,
+                layout.table(chain.table).num_fields * 4);
   }
-  for (std::size_t t = 0; t < layout.tables().size(); ++t) {
+  for (std::size_t t = 0; t < num_tables; ++t) {
     const auto table = static_cast<db::TableId>(t);
     const auto expected = db::direct::expected_links(shadow, layout, table);
     for (db::RecordIndex r = 0; r < expected.size(); ++r) {
@@ -251,7 +266,7 @@ ReplayResult ReplayAuditor::run(std::span<const db::ApiEvent> events) {
   }
 
   // --- compare shadow vs live, word-for-word, fixed-grain slices merged
-  // in slice order ---
+  // in slice order; a slice memcmp finds equal has no mismatching word ---
   const auto live = db_.region();
   const std::size_t grain = std::max<std::size_t>(4, config_.compare_grain_bytes);
   const std::size_t tasks = (live.size() + grain - 1) / grain;
@@ -260,6 +275,9 @@ ReplayResult ReplayAuditor::run(std::span<const db::ApiEvent> events) {
     for (std::size_t task = w; task < tasks; task += workers) {
       const std::size_t begin = task * grain;
       const std::size_t end = std::min(live.size(), begin + grain);
+      if (std::memcmp(live.data() + begin, shadow.data() + begin, end - begin) == 0) {
+        continue;
+      }
       auto& runs = task_runs[task];
       for (std::size_t at = begin; at + 4 <= end; at += 4) {
         if (db::load_u32(live, at) == db::load_u32(shadow, at)) {

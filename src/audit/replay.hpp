@@ -26,6 +26,13 @@
 // count is a fraction of the chain count; A16 gates the resulting CPU
 // saving.
 //
+// Cost: grouping and signing are one pass over the log. A record finds
+// its open chain through a flat per-record slot array, a chain links its
+// ops through a per-event `next` index, and its signature is streamed a
+// 64-bit word at a time as each op arrives. Unique end states live in one
+// flat int32 array; the shadow is refilled from the pristine image each
+// run, and the compare scans words only in slices memcmp finds differing.
+//
 // Determinism: unique chains execute on the worker pool into
 // preallocated per-chain slots and the compare fans out over fixed-size
 // region slices merged in slice order — findings, counters, and modelled
@@ -104,7 +111,34 @@ struct ReplayResult {
   ReplayStats stats;
 };
 
+/// Is this event one of the region-mutating ops replay interprets (a
+/// successful Alloc, Free, Move, WriteRec or WriteFld)?
+[[nodiscard]] bool replayable(const db::ApiEvent& event) noexcept;
+
+/// One step of the chain-signature mixer: folds a 64-bit word into the
+/// running signature. Each step is a bijection of the signature for a
+/// fixed word (xor, multiply by an odd constant, xor-shift), so two chains
+/// that differ in one word never share a signature. Not cryptographic — a
+/// collision merely merges two dedup classes, and the shadow compare still
+/// catches any end-state divergence that causes.
+[[nodiscard]] inline std::uint64_t mix_signature(std::uint64_t hash,
+                                                 std::uint64_t word) noexcept {
+  hash = (hash ^ word) * 0x9E3779B97F4A7C15ull;
+  return hash ^ (hash >> 32);
+}
+
+/// Signature every chain of `table` starts from.
+[[nodiscard]] std::uint64_t chain_seed(db::TableId table) noexcept;
+
+/// The per-op signature step: op kind, payload length, field and group as
+/// one word, then the payload two values per word.
+[[nodiscard]] std::uint64_t mix_op(std::uint64_t hash,
+                                   const db::ApiEvent& event) noexcept;
+
 /// One-shot (or reused) replay checker over a database's op history.
+/// A reused auditor keeps its scratch (chain slots, op links, end states,
+/// shadow) sized to the largest log it has seen; every run() result
+/// equals a fresh auditor's.
 class ReplayAuditor {
  public:
   ReplayAuditor(const db::Database& db, ReplayConfig config);
@@ -114,27 +148,27 @@ class ReplayAuditor {
   [[nodiscard]] ReplayResult run(std::span<const db::ApiEvent> events);
 
  private:
-  /// Replayed end state of one record (header id/next excluded: replay
-  /// never changes the id tag, and links are recomputed per table).
-  struct RecordState {
-    std::uint32_t status = 0;
-    std::uint32_t group = 0;
-    std::vector<std::int32_t> fields;
-  };
-  /// One per-(table, record) op chain, ops as indices into the event
-  /// span (kept in arrival order).
+  /// One per-(table, record) op chain. Its ops are linked through `next_`
+  /// in arrival order, from `first` through `length` ops to `last`.
   struct Chain {
-    db::TableId table = db::kNoTable;
+    std::uint64_t signature = 0;  ///< streamed while grouping
+    std::uint32_t first = 0;
+    std::uint32_t last = 0;
+    std::uint32_t length = 0;
+    std::uint32_t unique = 0;  ///< index into uniques_
     db::RecordIndex record = 0;
-    std::vector<std::uint32_t> ops;
+    db::TableId table = db::kNoTable;
+  };
+  /// One dedup class: its signature, the chain that executes it, and where
+  /// its end state (status, group, then the fields) starts in states_.
+  struct Unique {
     std::uint64_t signature = 0;
-    std::size_t unique_index = 0;  ///< into the executed unique set
+    std::uint32_t chain = 0;
+    std::size_t state_at = 0;
   };
 
-  [[nodiscard]] std::uint64_t chain_signature(
-      const Chain& chain, std::span<const db::ApiEvent> events) const;
-  [[nodiscard]] RecordState execute_chain(
-      const Chain& chain, std::span<const db::ApiEvent> events) const;
+  void execute_chain(const Chain& chain, std::span<const db::ApiEvent> events,
+                     std::int32_t* state) const;
   void dispatch(std::size_t workers,
                 const std::function<void(std::size_t)>& job);
 
@@ -142,6 +176,17 @@ class ReplayAuditor {
   ReplayConfig config_;
   /// Created lazily when replay_threads > 1; reused across run() calls.
   std::unique_ptr<common::WorkerPool> pool_;
+  /// Per table, the first record slot: a record's slot is its table's
+  /// base plus its index (one past the end at the back).
+  std::vector<std::uint32_t> table_base_;
+  // Scratch reused across run() calls.
+  std::vector<std::uint32_t> open_chain_;     ///< per record slot
+  std::vector<std::uint32_t> next_;           ///< per event: next op of its chain
+  std::vector<Chain> chains_;                 ///< creation order
+  std::vector<Unique> uniques_;               ///< discovery order
+  std::vector<std::uint32_t> unique_bucket_;  ///< signature table: unique + 1
+  std::vector<std::int32_t> states_;          ///< end states, flat
+  std::vector<std::byte> shadow_;
 };
 
 }  // namespace wtc::audit

@@ -25,8 +25,13 @@ void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value) {
 }
 
 /// Bounds-checked varint read; false on truncation or a >10-byte runaway.
+/// Most logged values fit one byte, which takes the first branch.
 bool get_varint(std::span<const std::uint8_t> bytes, std::size_t& at,
                 std::uint64_t& out) {
+  if (at < bytes.size() && bytes[at] < 0x80u) {
+    out = bytes[at++];
+    return true;
+  }
   out = 0;
   for (unsigned shift = 0; shift < 64; shift += 7) {
     if (at >= bytes.size()) {
@@ -60,7 +65,11 @@ void put_le32(std::vector<std::uint8_t>& out, std::uint32_t value) {
   return common::crc32(std::as_bytes(std::span(payload)));
 }
 
-/// Decodes one event; false (with `error` set) on truncation/invalidity.
+/// Smallest encoded event: op, status, flags, then eight one-byte varints.
+constexpr std::size_t kMinEventBytes = 11;
+
+/// Decodes one event into `event` (value-initialized by the caller);
+/// false (with `error` set) on truncation/invalidity.
 bool decode_event(std::span<const std::uint8_t> bytes, std::size_t& at,
                   sim::Time& last_time, ApiEvent& event, OpLogError& error) {
   if (bytes.size() - at < 3) {
@@ -92,7 +101,6 @@ bool decode_event(std::span<const std::uint8_t> bytes, std::size_t& at,
     return false;
   }
   const std::int64_t delta = unzigzag(dt);
-  event = ApiEvent{};
   event.op = static_cast<ApiOp>(op);
   event.status = static_cast<Status>(status);
   event.is_update = (flags & 1u) != 0;
@@ -159,57 +167,67 @@ void encode_op_log_event(std::vector<std::uint8_t>& out, const ApiEvent& event,
 
 OpLogReadResult decode_op_log(std::span<const std::uint8_t> bytes) {
   OpLogReadResult result;
-  std::size_t at = 0;
+  // All or nothing: a rejected log keeps no events from earlier chunks.
+  const auto fail = [&result](OpLogError error, std::size_t offset) {
+    result.error = error;
+    result.error_offset = offset;
+    result.events.clear();
+    return std::move(result);
+  };
   if (bytes.size() < 8) {
-    result.error = OpLogError::Truncated;
-    result.error_offset = bytes.size();
-    return result;
+    return fail(OpLogError::Truncated, bytes.size());
   }
   if (load_le32(bytes, 0) != kOpLogMagic || load_le32(bytes, 4) != kOpLogVersion) {
-    result.error = OpLogError::BadMagic;
-    return result;
+    return fail(OpLogError::BadMagic, 0);
   }
-  at = 8;
+  // One allocation up front: each chunk whose payload is present holds at
+  // most min(event_count, payload_len / kMinEventBytes) events, so a lying
+  // event_count cannot inflate the reservation past the input's size.
+  std::size_t capacity = 0;
+  for (std::size_t at = 8; bytes.size() - at >= 12;) {
+    const std::uint32_t payload_len = load_le32(bytes, at);
+    at += 12;
+    if (bytes.size() - at < payload_len) {
+      break;
+    }
+    capacity += std::min<std::size_t>(load_le32(bytes, at - 8),
+                                      payload_len / kMinEventBytes);
+    at += payload_len;
+  }
+  result.events.reserve(capacity);
+  ApiEvent spare;
+  std::size_t at = 8;
   sim::Time last_time = 0;
   while (at < bytes.size()) {
     if (bytes.size() - at < 12) {
-      result.error = OpLogError::Truncated;
-      result.error_offset = at;
-      return result;
+      return fail(OpLogError::Truncated, at);
     }
     const std::uint32_t payload_len = load_le32(bytes, at);
     const std::uint32_t event_count = load_le32(bytes, at + 4);
     const std::uint32_t crc = load_le32(bytes, at + 8);
     at += 12;
     if (bytes.size() - at < payload_len) {
-      result.error = OpLogError::Truncated;
-      result.error_offset = at;
-      return result;
+      return fail(OpLogError::Truncated, at);
     }
     const auto payload = bytes.subspan(at, payload_len);
     if (payload_crc(payload) != crc) {
-      result.error = OpLogError::BadCrc;
-      result.error_offset = at;
-      return result;
+      return fail(OpLogError::BadCrc, at);
     }
     std::size_t payload_at = 0;
     for (std::uint32_t i = 0; i < event_count; ++i) {
-      ApiEvent event;
+      // Events decode in place. No valid event lies past the reservation,
+      // so one that would is decoded into `spare` only to find its error.
+      ApiEvent& event = result.events.size() < result.events.capacity()
+                            ? result.events.emplace_back()
+                            : spare;
       OpLogError error = OpLogError::None;
       if (!decode_event(payload, payload_at, last_time, event, error)) {
-        result.error = error;
-        result.error_offset = at + payload_at;
-        result.events.clear();
-        return result;
+        return fail(error, at + payload_at);
       }
-      result.events.push_back(event);
     }
     if (payload_at != payload_len) {
       // Trailing bytes a CRC-valid chunk never has: a framing lie.
-      result.error = OpLogError::BadEvent;
-      result.error_offset = at + payload_at;
-      result.events.clear();
-      return result;
+      return fail(OpLogError::BadEvent, at + payload_at);
     }
     at += payload_len;
   }

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "audit/engine.hpp"
@@ -159,6 +161,32 @@ TEST(OpLogFormat, RejectsBadMagicTruncationAndBadCrc) {
   EXPECT_TRUE(result.events.empty());
 }
 
+TEST(OpLogFormat, DamagedLaterChunkRejectsEveryEvent) {
+  // Three chunks (1024-event batching); damage confined to the last one
+  // must still reject the whole log with no events from the intact ones.
+  Fixture fx;
+  for (int call = 0; call < 200; ++call) {
+    fx.call(call % 5);
+  }
+  fx.api.close();
+  const std::vector<std::uint8_t> bytes = fx.oplog.serialize();
+  ASSERT_GT(fx.oplog.recorded(), 2048u);
+
+  auto garbage_tail = bytes;
+  garbage_tail.insert(garbage_tail.end(), {1, 2, 3});
+  auto bad_crc = bytes;
+  bad_crc.back() ^= 0x01;
+  const std::vector<std::uint8_t> cut(bytes.begin(), bytes.end() - 1);
+  for (const auto& [input, error] :
+       {std::pair{garbage_tail, db::OpLogError::Truncated},
+        std::pair{bad_crc, db::OpLogError::BadCrc},
+        std::pair{cut, db::OpLogError::Truncated}}) {
+    const db::OpLogReadResult result = db::decode_op_log(input);
+    EXPECT_EQ(result.error, error);
+    EXPECT_TRUE(result.events.empty());
+  }
+}
+
 // --- deduplicated replay audit -------------------------------------------
 
 TEST(ReplayAudit, ExecutesEachUniqueChainOnce) {
@@ -187,6 +215,21 @@ TEST(ReplayAudit, ExecutesEachUniqueChainOnce) {
   EXPECT_LT(s.executed_ops, s.total_ops);
   EXPECT_EQ(s.naive_cost > 0, true);
   EXPECT_LT(s.dedup_cost, s.naive_cost / 3);
+}
+
+TEST(ReplayAudit, StartStateSplitsChainsNotBornAtAlloc) {
+  // The same write to two populated subscriber records: equal op
+  // sequences, different pristine start states (distinct ids and auth
+  // keys), so two dedup classes — one would replay a wrong end state.
+  Fixture fx;
+  fx.api.write_fld(fx.ids.subscriber, 0, fx.ids.s_privileges, 5);
+  fx.api.write_fld(fx.ids.subscriber, 1, fx.ids.s_privileges, 5);
+  fx.api.close();
+  audit::ReplayAuditor auditor(*fx.database, audit::ReplayConfig{});
+  const audit::ReplayResult result = auditor.run(fx.oplog.events());
+  EXPECT_EQ(result.stats.chains, 2u);
+  EXPECT_EQ(result.stats.unique_chains, 2u);
+  EXPECT_TRUE(result.findings.empty());
 }
 
 TEST(ReplayAudit, DetectsSemanticCorruptionStructuralArmsMiss) {
@@ -292,6 +335,109 @@ TEST(ReplayAudit, BitIdenticalAtAnyThreadCount) {
     EXPECT_EQ(r.stats.mismatched_words, base.stats.mismatched_words);
     EXPECT_EQ(r.stats.naive_cost, base.stats.naive_cost);
     EXPECT_EQ(r.stats.dedup_cost, base.stats.dedup_cost);
+  }
+}
+
+/// Every output of a replay cycle, the modelled makespan included.
+void expect_same_result(const audit::ReplayResult& a,
+                        const audit::ReplayResult& b) {
+  EXPECT_EQ(a.stats.total_ops, b.stats.total_ops);
+  EXPECT_EQ(a.stats.chains, b.stats.chains);
+  EXPECT_EQ(a.stats.unique_chains, b.stats.unique_chains);
+  EXPECT_EQ(a.stats.executed_ops, b.stats.executed_ops);
+  EXPECT_EQ(a.stats.mismatched_words, b.stats.mismatched_words);
+  EXPECT_EQ(a.stats.naive_cost, b.stats.naive_cost);
+  EXPECT_EQ(a.stats.dedup_cost, b.stats.dedup_cost);
+  EXPECT_EQ(a.stats.makespan, b.stats.makespan);
+  ASSERT_EQ(a.findings.size(), b.findings.size());
+  for (std::size_t i = 0; i < a.findings.size(); ++i) {
+    EXPECT_EQ(a.findings[i].offset, b.findings[i].offset);
+    EXPECT_EQ(a.findings[i].length, b.findings[i].length);
+    EXPECT_EQ(a.findings[i].table, b.findings[i].table);
+    EXPECT_EQ(a.findings[i].record, b.findings[i].record);
+    EXPECT_EQ(a.findings[i].field, b.findings[i].field);
+  }
+}
+
+TEST(ReplayAudit, PinnedStatsOnShippedLogs) {
+  // Chain and dedup-class counts of the shipped logs: a change to the
+  // grouping or the signature mixer that merges or splits a dedup class
+  // moves them.
+  struct Pinned {
+    const char* name;
+    std::uint64_t total_ops, chains, unique_chains, executed_ops;
+    sim::Duration dedup_cost;
+  };
+  for (const Pinned& pinned :
+       {Pinned{"handoff_storm", 12030, 1800, 14, 123, 10000},
+        Pinned{"registration_avalanche", 675, 135, 100, 500, 40160},
+        Pinned{"diurnal_load", 5214, 1008, 41, 252, 20320}}) {
+    SCOPED_TRACE(pinned.name);
+    const db::OpLogReadResult log = db::load_op_log(
+        std::string(WTC_WORKLOADS_DIR) + "/" + pinned.name + ".oplog");
+    ASSERT_TRUE(log.ok()) << db::to_string(log.error);
+    // Applied to the default controller database it was recorded on.
+    const auto database = db::make_controller_database();
+    experiments::apply_op_log(*database, log.events);
+    audit::ReplayAuditor auditor(*database, audit::ReplayConfig{});
+    const audit::ReplayResult result = auditor.run(log.events);
+    EXPECT_TRUE(result.findings.empty());
+    EXPECT_EQ(result.stats.mismatched_words, 0u);
+    EXPECT_EQ(result.stats.total_ops, pinned.total_ops);
+    EXPECT_EQ(result.stats.chains, pinned.chains);
+    EXPECT_EQ(result.stats.unique_chains, pinned.unique_chains);
+    EXPECT_EQ(result.stats.executed_ops, pinned.executed_ops);
+    EXPECT_EQ(result.stats.dedup_cost, pinned.dedup_cost);
+  }
+}
+
+TEST(ReplayAudit, ReusedAuditorMatchesFreshOne) {
+  // One auditor keeps its chain slots, op links, end states and shadow
+  // across runs (as the audit process's replay element and the perf
+  // bench use it); stale scratch from a longer, shorter or dirtier run
+  // must never leak into the next result. Every fourth call stays
+  // active, so records the prefix never touches end the whole log away
+  // from their pristine state.
+  Fixture fx;
+  for (int call = 0; call < 48; ++call) {
+    fx.call(call % 5, call % 4 == 0);
+  }
+  fx.api.close();
+  db::Database& db = *fx.database;
+  const std::span<const db::ApiEvent> whole(fx.oplog.events());
+  const std::span<const db::ApiEvent> prefix = whole.first(whole.size() / 3);
+  // The suffix starts at a field write, mid-lifecycle: its first ops on
+  // that call's records are not Allocs.
+  std::size_t mid = whole.size() / 2;
+  while (whole[mid].op != db::ApiOp::WriteFld) {
+    ++mid;
+  }
+  const std::span<const db::ApiEvent> suffix = whole.subspan(mid);
+  const std::size_t corrupt_at = db.layout().field_offset(
+      fx.ids.process, db.layout().table(fx.ids.process).num_records / 2,
+      fx.ids.p_task_token);
+
+  for (const std::size_t threads : {1u, 3u}) {
+    SCOPED_TRACE(threads);
+    audit::ReplayConfig config;
+    config.replay_threads = threads;
+    config.compare_grain_bytes = 1024;
+    audit::ReplayAuditor reused(db, config);
+    const auto step = [&](std::span<const db::ApiEvent> events) {
+      audit::ReplayAuditor fresh(db, config);
+      const audit::ReplayResult result = reused.run(events);
+      expect_same_result(result, fresh.run(events));
+      return result;
+    };
+    EXPECT_TRUE(step(whole).findings.empty());
+    step(prefix);
+    EXPECT_TRUE(step(whole).findings.empty());
+    step(suffix);
+    const std::int32_t original = db::load_i32(db.region(), corrupt_at);
+    db::store_i32(db.region(), corrupt_at, original ^ 0x40);
+    EXPECT_EQ(step(whole).stats.mismatched_words, 1u);
+    db::store_i32(db.region(), corrupt_at, original);
+    EXPECT_TRUE(step(whole).findings.empty());
   }
 }
 

@@ -248,7 +248,19 @@ bool regression_inputs(const std::filesystem::path& dir) {
   // byte 12 of the first chunk frame: header 8 + payload_len 4.)
   std::vector<std::uint8_t> overcount = oplog_capture();
   overcount[12] = static_cast<std::uint8_t>(overcount[12] + 1);
-  return write_file(dir / "oplog" / "fix-event-overcount", overcount);
+  if (!write_file(dir / "oplog" / "fix-event-overcount", overcount)) {
+    return false;
+  }
+
+  // Fix: the decoder reserves its event storage from the chunk headers,
+  // bounded by payload_len / 11 (the smallest encoded event). A CRC-valid
+  // chunk claiming 0xFFFFFFFF events must come back Truncated without
+  // reserving storage for the claimed count.
+  std::vector<std::uint8_t> lying = oplog_capture();
+  for (std::size_t b = 12; b < 16; ++b) {
+    lying[b] = 0xFFu;
+  }
+  return write_file(dir / "oplog" / "fix-reserve-bound", lying);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "audit/replay.hpp"
 #include "common/table_printer.hpp"
 #include "db/run_op_log.hpp"
 
@@ -43,49 +44,19 @@ const char* op_name(db::ApiOp op) {
   return "?";
 }
 
-bool replayable(const db::ApiEvent& event) {
-  if (!event.is_update || event.status != db::Status::Ok) {
-    return false;
-  }
-  switch (event.op) {
-    case db::ApiOp::WriteRec:
-    case db::ApiOp::WriteFld:
-    case db::ApiOp::Move:
-    case db::ApiOp::Alloc:
-    case db::ApiOp::Free:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// Chain signature matching audit::ReplayAuditor's record-agnostic case:
-/// table + the op sequence (op, group, field, payload). The auditor also
-/// mixes the pristine start state for chains that do not begin with
+/// Chain signature the way audit::ReplayAuditor streams it: the table
+/// seed, then every op through the auditor's own per-op step. The auditor
+/// also mixes the pristine start state for chains that do not begin with
 /// DBalloc; this tool has no region, so for those chains it mixes the
 /// record index instead (start states of distinct records may still
 /// collide, so the printed ratio is a lower bound on the auditor's).
 std::uint64_t chain_signature(const std::vector<const db::ApiEvent*>& ops) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  const auto mix = [&hash](std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (value >> (i * 8)) & 0xFF;
-      hash *= 0x100000001b3ull;
-    }
-  };
-  mix(ops.front()->table);
+  std::uint64_t hash = audit::chain_seed(ops.front()->table);
   if (ops.front()->op != db::ApiOp::Alloc) {
-    mix(ops.front()->record);
+    hash = audit::mix_signature(hash, ops.front()->record);
   }
   for (const db::ApiEvent* event : ops) {
-    mix(static_cast<std::uint64_t>(event->op));
-    mix(event->group);
-    mix(event->field);
-    mix(event->payload_len);
-    for (std::uint8_t i = 0; i < event->payload_len; ++i) {
-      mix(static_cast<std::uint64_t>(
-          static_cast<std::uint32_t>(event->payload[i])));
-    }
+    hash = audit::mix_op(hash, *event);
   }
   return hash;
 }
@@ -120,7 +91,7 @@ Summary summarize(const std::vector<db::ApiEvent>& events) {
     if (event.is_update) {
       ++s.updates;
     }
-    if (replayable(event)) {
+    if (audit::replayable(event)) {
       const std::uint64_t key =
           (static_cast<std::uint64_t>(event.table) << 32) | event.record;
       auto it = chain_of.find(key);
