@@ -141,9 +141,7 @@ TimingResult run_timing_arm(db::LinkMode mode, std::size_t scale,
   for (std::size_t i = 0; i < ops; ++i) {
     workload.step();
   }
-  const auto stop = std::chrono::steady_clock::now();
-  const double seconds =
-      std::chrono::duration<double>(stop - start).count();
+  const double seconds = bench::seconds_since(start);
   TimingResult result;
   result.ops_per_s = seconds > 0.0 ? static_cast<double>(ops) / seconds : 0.0;
   result.ns_per_op = static_cast<double>(ops) > 0.0
@@ -199,16 +197,14 @@ int main(int argc, char** argv) {
               scale, 125 * scale, ops);
 
   // --- equality phase ---
+  bench::Report report("api_hotpath");
   const long diverged_at = run_equality_phase(scale, equality_ops);
   const bool regions_equal = diverged_at < 0;
   std::printf("equality: %zu byte-compared ops, cross-check on: %s\n",
               equality_ops,
               regions_equal ? "regions identical" : "DIVERGED");
-  if (!regions_equal) {
-    std::fprintf(stderr,
-                 "FAIL: splice and full-relink regions diverged at op %ld\n",
-                 diverged_at);
-  }
+  report.gate(regions_equal,
+              "splice and full-relink regions diverged at op %ld", diverged_at);
 
   // --- timing phase (index counters captured from the splice arm) ---
   obs::Recorder recorder;
@@ -242,48 +238,30 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   counters.counter(obs::Counter::db_index_rebuilds)));
 
-  const bool fast_enough = speedup >= 5.0;
-  if (!fast_enough) {
-    std::fprintf(stderr, "FAIL: speedup %.2fx below the 5x floor\n", speedup);
-  }
+  report.gate(speedup >= 5.0, "speedup %.2fx below the 5x floor", speedup);
 
-  if (std::FILE* file = std::fopen(json_path.c_str(), "w")) {
-    std::fprintf(file, "{\n  \"bench\": \"api_hotpath\",\n");
-    std::fprintf(file, "  \"scale\": %zu,\n  \"ops\": %zu,\n", scale, ops);
-    std::fprintf(file,
-                 "  \"equality\": {\"ops\": %zu, \"cross_check\": true, "
-                 "\"regions_equal\": %s},\n",
-                 equality_ops, regions_equal ? "true" : "false");
-    std::fprintf(file, "  \"arms\": [\n");
-    std::fprintf(file,
-                 "    {\"name\": \"splice\", \"ops_per_s\": %.0f, "
-                 "\"ns_per_op\": %.1f, \"allocs\": %zu, \"frees\": %zu, "
-                 "\"moves\": %zu},\n",
-                 splice.ops_per_s, splice.ns_per_op, splice.allocs,
-                 splice.frees, splice.moves);
-    std::fprintf(file,
-                 "    {\"name\": \"full_relink\", \"ops_per_s\": %.0f, "
-                 "\"ns_per_op\": %.1f, \"allocs\": %zu, \"frees\": %zu, "
-                 "\"moves\": %zu}\n  ],\n",
-                 relink.ops_per_s, relink.ns_per_op, relink.allocs,
-                 relink.frees, relink.moves);
-    std::fprintf(file, "  \"speedup\": %.2f,\n", speedup);
-    std::fprintf(file,
-                 "  \"index_counters\": {\"hits\": %llu, \"splices\": %llu, "
-                 "\"resyncs\": %llu, \"rebuilds\": %llu}\n}\n",
-                 static_cast<unsigned long long>(
-                     counters.counter(obs::Counter::db_index_hits)),
-                 static_cast<unsigned long long>(
-                     counters.counter(obs::Counter::db_index_splices)),
-                 static_cast<unsigned long long>(
-                     counters.counter(obs::Counter::db_index_resyncs)),
-                 static_cast<unsigned long long>(
-                     counters.counter(obs::Counter::db_index_rebuilds)));
-    std::fclose(file);
-    std::printf("(json written to %s)\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "warning: cannot write %s\n", json_path.c_str());
-  }
-
-  return regions_equal && fast_enough ? 0 : 1;
+  report.field("scale", scale).field("ops", ops);
+  report.object("equality")
+      .field("ops", equality_ops)
+      .field("cross_check", true)
+      .field("regions_equal", regions_equal);
+  bench::Json& arms = report.array("arms");
+  const auto json_arm = [&arms](const char* name, const TimingResult& arm) {
+    arms.object()
+        .field("name", name)
+        .field("ops_per_s", arm.ops_per_s, 0)
+        .field("ns_per_op", arm.ns_per_op, 1)
+        .field("allocs", arm.allocs)
+        .field("frees", arm.frees)
+        .field("moves", arm.moves);
+  };
+  json_arm("splice", splice);
+  json_arm("full_relink", relink);
+  report.field("speedup", speedup, 2);
+  report.object("index_counters")
+      .field("hits", counters.counter(obs::Counter::db_index_hits))
+      .field("splices", counters.counter(obs::Counter::db_index_splices))
+      .field("resyncs", counters.counter(obs::Counter::db_index_resyncs))
+      .field("rebuilds", counters.counter(obs::Counter::db_index_rebuilds));
+  return report.finish(json_path);
 }

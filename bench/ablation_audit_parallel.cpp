@@ -39,9 +39,11 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/stats.hpp"
 #include "common/table_printer.hpp"
 
 using namespace wtc;
+using common::percent;
 
 namespace {
 
@@ -111,11 +113,6 @@ bool same_outcome(const experiments::AggregateAuditResult& a,
          ba.no_effect == bb.no_effect;
 }
 
-double pct(std::size_t part, std::size_t whole) {
-  return whole == 0 ? 0.0 : 100.0 * static_cast<double>(part) /
-                                static_cast<double>(whole);
-}
-
 void print_latency(const std::vector<Arm>& arms) {
   common::TablePrinter table({"Audit threads", "Cycle latency (us)",
                               "Audit us/cycle", "Caught %", "Escaped %",
@@ -126,8 +123,8 @@ void print_latency(const std::vector<Arm>& arms) {
     const double latency = r.cycle_latency_us.mean();
     table.add_row({std::to_string(arm.threads), common::fmt(latency, 0),
                    common::fmt(r.audit_cost_per_cycle_us.mean(), 0),
-                   common::fmt(pct(r.caught, r.injected), 1) + "%",
-                   common::fmt(pct(r.escaped, r.injected), 1) + "%",
+                   common::fmt(percent(r.caught, r.injected), 1) + "%",
+                   common::fmt(percent(r.escaped, r.injected), 1) + "%",
                    common::fmt(latency > 0.0 ? base / latency : 0.0, 2) + "x"});
   }
   std::printf("--- latency phase (Table-5 scale, cost scale 1) ---\n\n%s\n",
@@ -163,34 +160,29 @@ int main(int argc, char** argv) {
   }
   print_latency(arms);
 
-  std::vector<std::string> failures;
+  bench::Report report("audit_parallel");
   const Arm& sequential = arms.front();
   const Arm* gate_arm = &sequential;
   for (const Arm& arm : arms) {
     if (arm.threads == gate_threads) {
       gate_arm = &arm;
     }
-    if (!same_outcome(sequential.result, arm.result)) {
-      failures.push_back("outcome at " + std::to_string(arm.threads) +
-                         " audit threads differs from sequential "
-                         "(determinism violation)");
-    }
+    report.gate(same_outcome(sequential.result, arm.result),
+                "outcome at %zu audit threads differs from sequential "
+                "(determinism violation)",
+                arm.threads);
   }
   const double escape_delta =
-      pct(gate_arm->result.escaped, gate_arm->result.injected) -
-      pct(sequential.result.escaped, sequential.result.injected);
-  if (std::fabs(escape_delta) > 0.1) {
-    failures.push_back("escape-rate delta " + common::fmt(escape_delta, 3) +
-                       " pp exceeds 0.1 pp");
-  }
+      percent(gate_arm->result.escaped, gate_arm->result.injected) -
+      percent(sequential.result.escaped, sequential.result.injected);
+  report.gate(std::fabs(escape_delta) <= 0.1,
+              "escape-rate delta %.3f pp exceeds 0.1 pp", escape_delta);
   const double seq_latency = sequential.result.cycle_latency_us.mean();
   const double par_latency = gate_arm->result.cycle_latency_us.mean();
   const double speedup = par_latency > 0.0 ? seq_latency / par_latency : 0.0;
-  if (speedup < 2.0) {
-    failures.push_back("cycle-latency speedup " + common::fmt(speedup, 2) +
-                       "x at " + std::to_string(gate_threads) +
-                       " threads is below the 2x gate");
-  }
+  report.gate(speedup >= 2.0,
+              "cycle-latency speedup %.2fx at %zu threads is below the 2x gate",
+              speedup, gate_threads);
 
   // --- budget phase (production cost scale, Table-2 schema) ---
   auto budget_params = bench::table2_params();
@@ -220,27 +212,24 @@ int main(int argc, char** argv) {
        "Deferred units", "Escaped %"});
   budget_table.add_row(
       {"unbudgeted", common::fmt(demand, 0), "-", "-", "0",
-       common::fmt(pct(unbudgeted.escaped, unbudgeted.injected), 1) + "%"});
+       common::fmt(percent(unbudgeted.escaped, unbudgeted.injected), 1) + "%"});
   budget_table.add_row(
       {"budget = demand/2", common::fmt(budgeted_cost, 0),
        std::to_string(static_cast<long long>(budget)),
        common::fmt(100.0 * exhausted_share, 1) + "%",
        std::to_string(static_cast<long long>(budgeted.deferred_units)),
-       common::fmt(pct(budgeted.escaped, budgeted.injected), 1) + "%"});
+       common::fmt(percent(budgeted.escaped, budgeted.injected), 1) + "%"});
   std::printf("--- budget phase (production cost scale, 2x overload) "
               "---\n\n%s\n",
               budget_table.render().c_str());
 
-  if (budget_ratio > 1.05) {
-    failures.push_back("budgeted audit CPU/cycle is " +
-                       common::fmt(budget_ratio, 3) +
-                       "x the budget (gate: <= 1.05x)");
-  }
-  if (exhausted_share < 0.5) {
-    failures.push_back("budget bound only " +
-                       common::fmt(100.0 * exhausted_share, 1) +
-                       "% of cycles — the overload arm is not overloaded");
-  }
+  report.gate(budget_ratio <= 1.05,
+              "budgeted audit CPU/cycle is %.3fx the budget (gate: <= 1.05x)",
+              budget_ratio);
+  report.gate(exhausted_share >= 0.5,
+              "budget bound only %.1f%% of cycles — the overload arm is not "
+              "overloaded",
+              100.0 * exhausted_share);
 
   std::printf("Cycle-latency speedup at %zu threads: %.2fx; escape-rate "
               "delta %.3f pp; budgeted CPU/cycle %.3fx budget "
@@ -248,60 +237,34 @@ int main(int argc, char** argv) {
               gate_threads, speedup, escape_delta, budget_ratio,
               100.0 * exhausted_share);
 
-  std::FILE* file = std::fopen(json_path.c_str(), "w");
-  if (file != nullptr) {
-    std::fprintf(file, "{\n  \"bench\": \"audit_parallel\",\n");
-    std::fprintf(file,
-                 "  \"runs\": %zu,\n  \"duration_s\": %zu,\n"
-                 "  \"scale\": %zu,\n  \"latency_arms\": [\n",
-                 runs, duration_s, scale);
-    for (std::size_t i = 0; i < arms.size(); ++i) {
-      const auto& r = arms[i].result;
-      std::fprintf(
-          file,
-          "    {\"threads\": %zu, \"cycle_latency_us\": %.1f,\n"
-          "     \"audit_us_per_cycle\": %.1f, \"audit_cycles\": %llu,\n"
-          "     \"injected\": %zu, \"caught_pct\": %.2f, "
-          "\"escaped_pct\": %.2f}%s\n",
-          arms[i].threads, r.cycle_latency_us.mean(),
-          r.audit_cost_per_cycle_us.mean(),
-          static_cast<unsigned long long>(r.audit_cycles), r.injected,
-          pct(r.caught, r.injected), pct(r.escaped, r.injected),
-          i + 1 == arms.size() ? "" : ",");
-    }
-    std::fprintf(
-        file,
-        "  ],\n  \"speedup\": %.3f,\n  \"gate_threads\": %zu,\n"
-        "  \"escape_delta_pp\": %.4f,\n"
-        "  \"budget\": {\"demand_us_per_cycle\": %.1f, \"budget_us\": %lld,\n"
-        "    \"budgeted_us_per_cycle\": %.1f, \"ratio\": %.4f,\n"
-        "    \"exhausted_share\": %.3f, \"deferred_units\": %llu,\n"
-        "    \"unbudgeted_escaped_pct\": %.2f, \"budgeted_escaped_pct\": "
-        "%.2f},\n",
-        speedup, gate_threads, escape_delta, demand,
-        static_cast<long long>(budget), budgeted_cost, budget_ratio,
-        exhausted_share, static_cast<unsigned long long>(budgeted.deferred_units),
-        pct(unbudgeted.escaped, unbudgeted.injected),
-        pct(budgeted.escaped, budgeted.injected));
-    std::fprintf(file, "  \"gates_passed\": %s", failures.empty() ? "true"
-                                                                  : "false");
-    if (!failures.empty()) {
-      std::fprintf(file, ",\n  \"failures\": [\n");
-      for (std::size_t i = 0; i < failures.size(); ++i) {
-        std::fprintf(file, "    \"%s\"%s\n", failures[i].c_str(),
-                     i + 1 == failures.size() ? "" : ",");
-      }
-      std::fprintf(file, "  ]");
-    }
-    std::fprintf(file, "\n}\n");
-    std::fclose(file);
-    std::printf("(results written to %s)\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "warning: cannot write %s\n", json_path.c_str());
+  report.field("runs", runs)
+      .field("duration_s", duration_s)
+      .field("scale", scale);
+  bench::Json& latency_arms = report.array("latency_arms");
+  for (const Arm& arm : arms) {
+    const auto& r = arm.result;
+    latency_arms.object()
+        .field("threads", arm.threads)
+        .field("cycle_latency_us", r.cycle_latency_us.mean(), 1)
+        .field("audit_us_per_cycle", r.audit_cost_per_cycle_us.mean(), 1)
+        .field("audit_cycles", r.audit_cycles)
+        .field("injected", r.injected)
+        .field("caught_pct", percent(r.caught, r.injected), 2)
+        .field("escaped_pct", percent(r.escaped, r.injected), 2);
   }
-
-  for (const auto& failure : failures) {
-    std::fprintf(stderr, "GATE FAILED: %s\n", failure.c_str());
-  }
-  return failures.empty() ? 0 : 1;
+  report.field("speedup", speedup, 3)
+      .field("gate_threads", gate_threads)
+      .field("escape_delta_pp", escape_delta, 4);
+  report.object("budget")
+      .field("demand_us_per_cycle", demand, 1)
+      .field("budget_us", budget)
+      .field("budgeted_us_per_cycle", budgeted_cost, 1)
+      .field("ratio", budget_ratio, 4)
+      .field("exhausted_share", exhausted_share, 3)
+      .field("deferred_units", budgeted.deferred_units)
+      .field("unbudgeted_escaped_pct",
+             percent(unbudgeted.escaped, unbudgeted.injected), 2)
+      .field("budgeted_escaped_pct",
+             percent(budgeted.escaped, budgeted.injected), 2);
+  return report.finish(json_path);
 }

@@ -274,37 +274,34 @@ int main(int argc, char** argv) {
               "latency detections; the healing arm detects preemptively "
               "AND returns every violating thread to service.\n");
 
-  std::FILE* file = std::fopen(json_path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", json_path.c_str());
-  } else {
-    std::fprintf(file,
-                 "{\n  \"bench\": \"cf_attestation\",\n"
-                 "  \"runs_per_model\": %zu,\n  \"slice_period_ms\": %zu,\n"
-                 "  \"latency_bound_held\": %s,\n"
-                 "  \"worst_latency_us\": %llu,\n"
-                 "  \"healing_guarantee_held\": %s,\n"
-                 "  \"deterministic\": %s,\n  \"arms\": {\n",
-                 runs, slice_ms, latency_ok ? "true" : "false",
-                 static_cast<unsigned long long>(worst_latency),
-                 healing_ok ? "true" : "false",
-                 deterministic ? "true" : "false");
-    for (std::size_t a = 0; a < results.size(); ++a) {
-      const ArmResult& r = results[a];
-      std::fprintf(
-          file,
-          "    \"%s\": {\"activated\": %zu, \"preemptive\": %zu, "
-          "\"by_attestation\": %zu, \"crashed\": %zu, \"escaped\": %zu, "
-          "\"benign\": %zu, \"healed_runs\": %zu, \"escalations\": %zu, "
-          "\"unhealed\": %zu, \"max_latency_us\": %llu}%s\n",
-          arms[a].key, r.activated, r.preemptive, r.by_attestation, r.crashed,
-          r.escaped, r.benign, r.healed_runs, r.escalations, r.unhealed,
-          static_cast<unsigned long long>(r.max_latency_us),
-          a + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(file, "  }\n}\n");
-    std::fclose(file);
-    std::printf("(results written to %s)\n", json_path.c_str());
+  bench::Report report("cf_attestation");
+  report.gate(latency_ok, "worst detection latency %.1f ms exceeds the %zu ms "
+                          "slice period",
+              static_cast<double>(worst_latency) / 1000.0, slice_ms);
+  report.gate(healing_ok, "%zu unhealed CF violations in the healing arm",
+              last_arm.unhealed);
+  report.gate(deterministic, "per-run outcome rows differ from the --jobs=1 "
+                             "rerun (determinism violation)");
+  report.field("runs_per_model", runs)
+      .field("slice_period_ms", slice_ms)
+      .field("latency_bound_held", latency_ok)
+      .field("worst_latency_us", worst_latency)
+      .field("healing_guarantee_held", healing_ok)
+      .field("deterministic", deterministic);
+  bench::Json& arm_json = report.object("arms");
+  for (std::size_t a = 0; a < results.size(); ++a) {
+    const ArmResult& r = results[a];
+    arm_json.object(arms[a].key)
+        .field("activated", r.activated)
+        .field("preemptive", r.preemptive)
+        .field("by_attestation", r.by_attestation)
+        .field("crashed", r.crashed)
+        .field("escaped", r.escaped)
+        .field("benign", r.benign)
+        .field("healed_runs", r.healed_runs)
+        .field("escalations", r.escalations)
+        .field("unhealed", r.unhealed)
+        .field("max_latency_us", r.max_latency_us);
   }
-  return (latency_ok && healing_ok && deterministic) ? 0 : 1;
+  return report.finish(json_path);
 }

@@ -24,8 +24,8 @@
 //                   visible to dirty tracking) and bypass (raw memory flips
 //                   that leave no dirty stamp — the periodic sweep's case).
 //
-// Also includes a CRC32 throughput micro-check (the static checksum's
-// inner loop, now slice-by-8).
+// Also includes a CRC32 micro-check of the static checksum's slice-by-8
+// inner loop: throughput, and a check vector that gates the exit code.
 //
 // Flags: --runs=N (default 10), --duration=SECONDS (default 2000),
 //        --sweep=N (hybrid interval, default 10), --json=PATH
@@ -36,9 +36,11 @@
 
 #include "bench_util.hpp"
 #include "common/crc32.hpp"
+#include "common/stats.hpp"
 #include "common/table_printer.hpp"
 
 using namespace wtc;
+using common::percent;
 
 namespace {
 
@@ -66,16 +68,11 @@ experiments::AggregateAuditResult run_arm(bool incremental,
   return experiments::run_audit_series(params, runs);
 }
 
-double pct(std::size_t part, std::size_t whole) {
-  return whole == 0 ? 0.0 : 100.0 * static_cast<double>(part) /
-                                static_cast<double>(whole);
-}
-
 double escape_of(const std::vector<Arm>& arms, const std::string& name,
                  bool through_store) {
   for (const auto& arm : arms) {
     if (arm.name == name && arm.through_store == through_store) {
-      return pct(arm.result.escaped, arm.result.injected);
+      return percent(arm.result.escaped, arm.result.injected);
     }
   }
   return 0.0;
@@ -106,9 +103,7 @@ CrcCheck crc_microbench() {
   for (int i = 0; i < passes; ++i) {
     sink = common::crc32(buffer);
   }
-  const auto elapsed = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
+  const double elapsed = bench::seconds_since(start);
   (void)sink;
   if (elapsed > 0.0) {
     check.mb_per_s = static_cast<double>(buffer.size()) * passes /
@@ -137,8 +132,8 @@ void print_coverage(const std::vector<Arm>& arms) {
     const auto& r = arm.result;
     table.add_row({arm.name, arm.through_store ? "through-store" : "bypass",
                    std::to_string(r.injected),
-                   common::fmt(pct(r.caught, r.injected), 1) + "%",
-                   common::fmt(pct(r.escaped, r.injected), 1) + "%",
+                   common::fmt(percent(r.caught, r.injected), 1) + "%",
+                   common::fmt(percent(r.escaped, r.injected), 1) + "%",
                    common::fmt(r.detection_latency_s.mean(), 2)});
   }
   std::printf("--- coverage phase (cost scale 1: equal client timing, "
@@ -146,73 +141,21 @@ void print_coverage(const std::vector<Arm>& arms) {
               table.render().c_str());
 }
 
-void json_arm(std::FILE* file, const Arm& arm, bool last) {
-  const auto& r = arm.result;
-  std::fprintf(
-      file,
-      "    {\"name\": \"%s\", \"through_store\": %s,\n"
-      "     \"audit_us_per_cycle\": %.1f, \"audit_cycles\": %llu,\n"
-      "     \"full_sweeps\": %llu, \"setup_ms\": %.2f,\n"
-      "     \"injected\": %zu, \"caught_pct\": %.2f, \"escaped_pct\": %.2f,\n"
-      "     \"detection_latency_s\": %.2f}%s\n",
-      arm.name.c_str(), arm.through_store ? "true" : "false",
-      r.audit_cost_per_cycle_us.mean(),
-      static_cast<unsigned long long>(r.audit_cycles),
-      static_cast<unsigned long long>(r.full_sweeps), r.setup_ms.mean(),
-      r.injected, pct(r.caught, r.injected), pct(r.escaped, r.injected),
-      r.detection_latency_s.mean(), last ? "" : ",");
-}
-
-void write_json(const std::string& path, const std::vector<Arm>& cost_arms,
-                const std::vector<Arm>& coverage_arms, std::size_t runs,
-                std::size_t duration_s, std::size_t sweep_interval,
-                const CrcCheck& crc) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
+void json_arms(bench::Json& arms, const std::vector<Arm>& list) {
+  for (const Arm& arm : list) {
+    const auto& r = arm.result;
+    arms.object()
+        .field("name", arm.name)
+        .field("through_store", arm.through_store)
+        .field("audit_us_per_cycle", r.audit_cost_per_cycle_us.mean(), 1)
+        .field("audit_cycles", r.audit_cycles)
+        .field("full_sweeps", r.full_sweeps)
+        .field("setup_ms", r.setup_ms.mean(), 2)
+        .field("injected", r.injected)
+        .field("caught_pct", percent(r.caught, r.injected), 2)
+        .field("escaped_pct", percent(r.escaped, r.injected), 2)
+        .field("detection_latency_s", r.detection_latency_s.mean(), 2);
   }
-  std::fprintf(file, "{\n  \"bench\": \"incremental_audit\",\n");
-  std::fprintf(file, "  \"runs\": %zu,\n  \"duration_s\": %zu,\n", runs,
-               duration_s);
-  std::fprintf(file, "  \"hybrid_sweep_interval\": %zu,\n", sweep_interval);
-  std::fprintf(file, "  \"crc32\": {\"vector_ok\": %s, \"mb_per_s\": %.1f},\n",
-               crc.vector_ok ? "true" : "false", crc.mb_per_s);
-  std::fprintf(file, "  \"cost_arms\": [\n");
-  for (std::size_t i = 0; i < cost_arms.size(); ++i) {
-    json_arm(file, cost_arms[i], i + 1 == cost_arms.size());
-  }
-  std::fprintf(file, "  ],\n  \"coverage_arms\": [\n");
-  for (std::size_t i = 0; i < coverage_arms.size(); ++i) {
-    json_arm(file, coverage_arms[i], i + 1 == coverage_arms.size());
-  }
-  std::fprintf(file, "  ],\n");
-  // Headline deltas: CPU reduction from the cost phase; escape-rate delta
-  // from the coverage phase, through-store mode (the paper's dominant
-  // wild-write error model).
-  double base_cost = 0.0;
-  double incr_cost = 0.0;
-  double hybrid_cost = 0.0;
-  for (const auto& arm : cost_arms) {
-    const double cost = arm.result.audit_cost_per_cycle_us.mean();
-    if (arm.name == "exhaustive") {
-      base_cost = cost;
-    } else if (arm.name == "incremental") {
-      incr_cost = cost;
-    } else if (arm.name == "hybrid") {
-      hybrid_cost = cost;
-    }
-  }
-  std::fprintf(file,
-               "  \"speedup_incremental\": %.2f,\n"
-               "  \"speedup_hybrid\": %.2f,\n"
-               "  \"hybrid_escape_delta_pp\": %.2f\n}\n",
-               incr_cost > 0.0 ? base_cost / incr_cost : 0.0,
-               hybrid_cost > 0.0 ? base_cost / hybrid_cost : 0.0,
-               escape_of(coverage_arms, "hybrid", true) -
-                   escape_of(coverage_arms, "exhaustive", true));
-  std::fclose(file);
-  std::printf("(results written to %s)\n", path.c_str());
 }
 
 }  // namespace
@@ -225,9 +168,12 @@ int main(int argc, char** argv) {
       bench::flag_str(argc, argv, "json", "BENCH_incremental_audit.json");
   bench::campaign_init(argc, argv);
 
+  bench::Report report("incremental_audit");
   const CrcCheck crc = crc_microbench();
   std::printf("CRC32 slice-by-8: vector %s, %.0f MB/s\n\n",
               crc.vector_ok ? "ok" : "MISMATCH", crc.mb_per_s);
+  report.gate(crc.vector_ok,
+              "slice-by-8 CRC32 of \"123456789\" is not 0xCBF43926");
   std::printf("=== Ablation A10: incremental dirty-tracking audit (%zu runs "
               "per arm, %zus each) ===\n\n",
               runs, duration_s);
@@ -259,21 +205,34 @@ int main(int argc, char** argv) {
   }
   print_coverage(coverage_arms);
 
+  // Headline deltas: CPU reduction from the cost phase; escape-rate delta
+  // from the coverage phase, through-store mode (the paper's dominant
+  // wild-write error model).
   const double base = cost_arms[0].result.audit_cost_per_cycle_us.mean();
   const double incr = cost_arms[1].result.audit_cost_per_cycle_us.mean();
   const double hybrid = cost_arms[2].result.audit_cost_per_cycle_us.mean();
+  const double speedup_incremental = incr > 0.0 ? base / incr : 0.0;
+  const double speedup_hybrid = hybrid > 0.0 ? base / hybrid : 0.0;
   const double escape_delta = escape_of(coverage_arms, "hybrid", true) -
                               escape_of(coverage_arms, "exhaustive", true);
   std::printf("Audit CPU/cycle reduction: incremental %.1fx, hybrid %.1fx; "
               "hybrid escape-rate delta (through-store) %+.2f pp\n",
-              incr > 0.0 ? base / incr : 0.0,
-              hybrid > 0.0 ? base / hybrid : 0.0, escape_delta);
+              speedup_incremental, speedup_hybrid, escape_delta);
   std::printf("Expected: >=3x audit CPU reduction with the hybrid escape "
               "rate within 1 pp of exhaustive; under the bypass error model "
               "the pure-incremental arm escapes what the workload never "
               "rewrites, which is what the periodic full sweep bounds.\n");
 
-  write_json(json_path, cost_arms, coverage_arms, runs, duration_s,
-             sweep_interval, crc);
-  return 0;
+  report.field("runs", runs)
+      .field("duration_s", duration_s)
+      .field("hybrid_sweep_interval", sweep_interval);
+  report.object("crc32")
+      .field("vector_ok", crc.vector_ok)
+      .field("mb_per_s", crc.mb_per_s, 1);
+  json_arms(report.array("cost_arms"), cost_arms);
+  json_arms(report.array("coverage_arms"), coverage_arms);
+  report.field("speedup_incremental", speedup_incremental, 2)
+      .field("speedup_hybrid", speedup_hybrid, 2)
+      .field("hybrid_escape_delta_pp", escape_delta, 2);
+  return report.finish(json_path);
 }

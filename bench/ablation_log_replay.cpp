@@ -8,8 +8,10 @@
 //                   zero-simulation engine (--replay-oplog), reproduces
 //                   the recording run's final region byte-for-byte with
 //                   no call-processing simulation at all. Gates: byte
-//                   identity, zero divergences, wall-clock speedup >=
-//                   --min-wall-speedup (default 5x).
+//                   identity of every replayed region, zero
+//                   divergences, wall-clock speedup >= --min-wall-speedup
+//                   (default 5x) between the medians of 5 record and 5
+//                   replay runs.
 //
 //   clean audit     With the replay audit arm enabled on a clean run
 //                   (no injections), every replay cycle's shadow compare
@@ -64,15 +66,16 @@ using namespace wtc;
 
 namespace {
 
-double wall_seconds(const std::chrono::steady_clock::time_point& begin) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
-      .count();
-}
-
 /// The whole file as bytes (empty if it cannot be read).
 std::vector<std::uint8_t> read_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// The middle element of `samples` (the upper one for an even count).
+double median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
 }
 
 std::uint64_t fnv_mix(std::uint64_t hash, std::uint64_t value) {
@@ -184,7 +187,7 @@ int main(int argc, char** argv) {
   std::printf("=== Ablation A16: op-log record/replay "
               "(%zus record horizon, scale %zu) ===\n\n",
               duration_s, scale);
-  std::vector<std::string> failures;
+  bench::Report report("log_replay");
 
   // --- phase 1: record, then zero-simulation replay ---
   auto record_params = bench::table2_params();
@@ -207,40 +210,51 @@ int main(int argc, char** argv) {
   record_params.capture_final_region = true;
   record_params.record_oplog_path = record_out;
   record_params.seed = 0x0A16;
-  const auto record_begin = std::chrono::steady_clock::now();
-  const auto recorded = experiments::run_audit_experiment(record_params);
-  const double record_wall = wall_seconds(record_begin);
-
   auto replay_params = record_params;
   replay_params.record_oplog_path.clear();
   replay_params.replay_oplog_path = record_out;
-  const auto replay_begin = std::chrono::steady_clock::now();
-  const auto replayed = experiments::run_audit_experiment(replay_params);
-  const double replay_wall = wall_seconds(replay_begin);
-
-  const bool bytes_equal = recorded.final_region == replayed.final_region;
+  // Each side is timed as the median of kTimedReps runs: at the default
+  // horizon one record run takes milliseconds and one replay well under
+  // one, so a single pair reads timer noise. Every replayed region is
+  // byte-compared with the recording's.
+  constexpr int kTimedReps = 5;
+  experiments::AuditRunResult recorded;
+  experiments::AuditRunResult replayed;
+  std::vector<double> record_walls;
+  std::vector<double> replay_walls;
+  bool bytes_equal = true;
+  std::uint64_t replay_divergences = 0;
+  for (int rep = 0; rep < kTimedReps; ++rep) {
+    auto begin = std::chrono::steady_clock::now();
+    recorded = experiments::run_audit_experiment(record_params);
+    record_walls.push_back(bench::seconds_since(begin));
+    begin = std::chrono::steady_clock::now();
+    replayed = experiments::run_audit_experiment(replay_params);
+    replay_walls.push_back(bench::seconds_since(begin));
+    bytes_equal &= recorded.final_region == replayed.final_region;
+    replay_divergences =
+        std::max(replay_divergences, replayed.replay_divergences);
+  }
+  const double record_wall = median(record_walls);
+  const double replay_wall = median(replay_walls);
   const double wall_speedup =
       replay_wall > 0.0 ? record_wall / replay_wall : 0.0;
-  if (!bytes_equal) {
-    failures.push_back("replayed final region differs from the recording "
-                       "run's (zero-simulation engine is not byte-exact)");
-  }
-  if (replayed.replay_divergences != 0) {
-    failures.push_back(std::to_string(replayed.replay_divergences) +
-                       " replay divergences on a clean capture");
-  }
-  if (wall_speedup < static_cast<double>(min_wall_speedup)) {
-    failures.push_back("replay wall-clock speedup " +
-                       common::fmt(wall_speedup, 2) + "x is below the " +
-                       std::to_string(min_wall_speedup) + "x gate");
-  }
+  report.gate(bytes_equal, "replayed final region differs from the recording "
+                           "run's (zero-simulation engine is not byte-exact)");
+  report.gate(replay_divergences == 0,
+              "%llu replay divergences on a clean capture",
+              static_cast<unsigned long long>(replay_divergences));
+  report.gate(wall_speedup >= static_cast<double>(min_wall_speedup),
+              "replay wall-clock speedup %.2fx is below the %zux gate",
+              wall_speedup, min_wall_speedup);
   std::printf("--- record/replay ---\n"
               "recorded %llu events in %.3f s (simulation); replayed %llu "
-              "update ops in %.3f s (zero simulation): %.1fx, region %s\n\n",
+              "update ops in %.3f s (zero simulation; medians of %d): %.1fx, "
+              "region %s\n\n",
               static_cast<unsigned long long>(recorded.oplog_recorded),
               record_wall,
               static_cast<unsigned long long>(replayed.replay_applied),
-              replay_wall, wall_speedup,
+              replay_wall, kTimedReps, wall_speedup,
               bytes_equal ? "byte-identical" : "DIFFERS");
 
   // --- phase 2: replay audit arm on a clean run: no false mismatches ---
@@ -249,13 +263,11 @@ int main(int argc, char** argv) {
   clean_params.capture_final_region = false;
   clean_params.audit.replay_audit = true;
   const auto clean = experiments::run_audit_experiment(clean_params);
-  if (clean.replay_runs == 0) {
-    failures.push_back("replay audit arm never ran on the clean run");
-  }
-  if (clean.replay.mismatched_words != 0) {
-    failures.push_back(std::to_string(clean.replay.mismatched_words) +
-                       " false mismatch words on a clean run");
-  }
+  report.gate(clean.replay_runs != 0,
+              "replay audit arm never ran on the clean run");
+  report.gate(clean.replay.mismatched_words == 0,
+              "%llu false mismatch words on a clean run",
+              static_cast<unsigned long long>(clean.replay.mismatched_words));
   std::printf("--- clean-run replay audit ---\n"
               "%llu replay cycles, last: %llu chains (%llu unique), "
               "%llu mismatched words\n\n",
@@ -270,10 +282,8 @@ int main(int argc, char** argv) {
   audit::ReplayStats storm_stats;
   double storm_verdict_ms = 0.0;
   double storm_modelled_over_measured = 0.0;
-  if (!storm.ok()) {
-    failures.push_back("cannot load " + storm_path + ": " +
-                       std::string(db::to_string(storm.error)));
-  } else {
+  if (report.gate(storm.ok(), "cannot load %s: %s", storm_path.c_str(),
+                  std::string(db::to_string(storm.error)).c_str())) {
     auto storm_db = db::make_controller_database();
     experiments::apply_op_log(*storm_db, storm.events);
     audit::ReplayAuditor auditor(*storm_db, audit::ReplayConfig{});
@@ -284,18 +294,16 @@ int main(int argc, char** argv) {
             ? static_cast<double>(storm_stats.naive_cost) /
                   static_cast<double>(storm_stats.dedup_cost)
             : 0.0;
-    if (storm_stats.duplicate_ratio() <= 0.30) {
-      failures.push_back("handoff-storm duplicate-chain ratio " +
-                         common::fmt(100.0 * storm_stats.duplicate_ratio(), 1) +
-                         "% is below the 30% gate");
-    }
-    if (cpu_ratio < 3.0) {
-      failures.push_back("dedup replay is only " + common::fmt(cpu_ratio, 2) +
-                         "x cheaper than naive re-execution (gate: 3x)");
-    }
-    if (!result.findings.empty()) {
-      failures.push_back("replay audit flagged a just-replayed region");
-    }
+    report.gate(storm_stats.duplicate_ratio() > 0.30,
+                "handoff-storm duplicate-chain ratio %.1f%% is below the 30%% "
+                "gate",
+                100.0 * storm_stats.duplicate_ratio());
+    report.gate(cpu_ratio >= 3.0,
+                "dedup replay is only %.2fx cheaper than naive re-execution "
+                "(gate: 3x)",
+                cpu_ratio);
+    report.gate(result.findings.empty(),
+                "replay audit flagged a just-replayed region");
     // The same verdict measured: decode the file's bytes and replay them
     // on the warm auditor, median of 21 passes.
     const std::vector<std::uint8_t> storm_bytes = read_bytes(storm_path);
@@ -304,10 +312,9 @@ int main(int argc, char** argv) {
       const auto begin = std::chrono::steady_clock::now();
       const db::OpLogReadResult log = db::decode_op_log(storm_bytes);
       (void)auditor.run(log.events);
-      verdict_ms.push_back(wall_seconds(begin) * 1e3);
+      verdict_ms.push_back(bench::seconds_since(begin) * 1e3);
     }
-    std::sort(verdict_ms.begin(), verdict_ms.end());
-    storm_verdict_ms = verdict_ms[verdict_ms.size() / 2];
+    storm_verdict_ms = median(verdict_ms);
     storm_modelled_over_measured =
         static_cast<double>(storm_stats.dedup_cost) / (storm_verdict_ms * 1e3);
     std::printf("--- handoff-storm dedup ---\n"
@@ -355,12 +362,10 @@ int main(int argc, char** argv) {
     structural_findings += engine.check_ranges(t).findings;
   }
   structural_findings += engine.check_semantics().findings;
-  if (structural_findings != 0) {
-    failures.push_back("structural arms flagged " +
-                       std::to_string(structural_findings) +
-                       " of the unruled-field corruptions (expected 0 — "
-                       "the corruption class is wrong)");
-  }
+  report.gate(structural_findings == 0,
+              "structural arms flagged %llu of the unruled-field corruptions "
+              "(expected 0 — the corruption class is wrong)",
+              static_cast<unsigned long long>(structural_findings));
 
   audit::ReplayAuditor semantic_auditor(sdb, audit::ReplayConfig{});
   const audit::ReplayResult semantic =
@@ -374,19 +379,14 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (detected != corrupted_offsets.size()) {
-    failures.push_back("replay audit detected only " +
-                       std::to_string(detected) + "/" +
-                       std::to_string(corrupted_offsets.size()) +
-                       " seeded semantic corruptions");
-  }
-  if (semantic.stats.mismatched_words != corrupted_offsets.size()) {
-    failures.push_back("replay audit flagged " +
-                       std::to_string(semantic.stats.mismatched_words) +
-                       " words for " +
-                       std::to_string(corrupted_offsets.size()) +
-                       " seeded corruptions (false mismatches)");
-  }
+  report.gate(detected == corrupted_offsets.size(),
+              "replay audit detected only %zu/%zu seeded semantic corruptions",
+              detected, corrupted_offsets.size());
+  report.gate(semantic.stats.mismatched_words == corrupted_offsets.size(),
+              "replay audit flagged %llu words for %zu seeded corruptions "
+              "(false mismatches)",
+              static_cast<unsigned long long>(semantic.stats.mismatched_words),
+              corrupted_offsets.size());
   std::printf("--- seeded semantic corruption ---\n"
               "%zu unruled-field corruptions: structural arms flagged "
               "%llu, replay audit detected %zu (%llu mismatched words)\n\n",
@@ -402,13 +402,10 @@ int main(int argc, char** argv) {
     audit::ReplayAuditor auditor(sdb, config);
     digests.push_back(replay_digest(auditor.run(fixture.oplog.events())));
   }
-  for (const std::uint64_t digest : digests) {
-    if (digest != digests.front()) {
-      failures.push_back("replay audit digest differs across replay thread "
-                         "counts (determinism violation)");
-      break;
-    }
-  }
+  report.gate(std::all_of(digests.begin(), digests.end(),
+                          [&](std::uint64_t d) { return d == digests[0]; }),
+              "replay audit digest differs across replay thread counts "
+              "(determinism violation)");
   std::vector<std::uint64_t> region_digests;
   for (const std::size_t jobs : {1u, 4u}) {
     experiments::CampaignOptions options;
@@ -429,10 +426,9 @@ int main(int argc, char** argv) {
     }
     region_digests.push_back(merged);
   }
-  if (region_digests[0] != region_digests[1]) {
-    failures.push_back("zero-simulation replay differs across --jobs "
-                       "fan-out (determinism violation)");
-  }
+  report.gate(region_digests[0] == region_digests[1],
+              "zero-simulation replay differs across --jobs fan-out "
+              "(determinism violation)");
   std::printf("--- determinism ---\n"
               "replay-audit digest %016llx at 1/2/4/8 threads %s; campaign "
               "fan-out digest %016llx at jobs 1/4 %s\n\n",
@@ -441,63 +437,24 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(region_digests[0]),
               region_digests[0] == region_digests[1] ? "stable" : "UNSTABLE");
 
-  std::FILE* file = std::fopen(json_path.c_str(), "w");
-  if (file != nullptr) {
-    std::fprintf(file, "{\n  \"bench\": \"log_replay\",\n");
-    std::fprintf(file,
-                 "  \"duration_s\": %zu,\n  \"recorded_events\": %llu,\n"
-                 "  \"record_wall_s\": %.4f,\n  \"replay_wall_s\": %.4f,\n"
-                 "  \"wall_speedup\": %.2f,\n  \"bytes_equal\": %s,\n"
-                 "  \"replay_divergences\": %llu,\n",
-                 duration_s,
-                 static_cast<unsigned long long>(recorded.oplog_recorded),
-                 record_wall, replay_wall, wall_speedup,
-                 bytes_equal ? "true" : "false",
-                 static_cast<unsigned long long>(replayed.replay_divergences));
-    std::fprintf(file,
-                 "  \"clean_replay_runs\": %llu,\n"
-                 "  \"clean_mismatched_words\": %llu,\n",
-                 static_cast<unsigned long long>(clean.replay_runs),
-                 static_cast<unsigned long long>(clean.replay.mismatched_words));
-    std::fprintf(
-        file,
-        "  \"storm_chains\": %llu,\n  \"storm_unique_chains\": %llu,\n"
-        "  \"storm_duplicate_ratio\": %.4f,\n"
-        "  \"storm_naive_cost\": %llu,\n  \"storm_dedup_cost\": %llu,\n"
-        "  \"storm_verdict_wall_ms\": %.4f,\n"
-        "  \"storm_modelled_over_measured\": %.2f,\n",
-        static_cast<unsigned long long>(storm_stats.chains),
-        static_cast<unsigned long long>(storm_stats.unique_chains),
-        storm_stats.duplicate_ratio(),
-        static_cast<unsigned long long>(storm_stats.naive_cost),
-        static_cast<unsigned long long>(storm_stats.dedup_cost),
-        storm_verdict_ms, storm_modelled_over_measured);
-    std::fprintf(file,
-                 "  \"seeded_corruptions\": %zu,\n"
-                 "  \"structural_findings\": %llu,\n"
-                 "  \"replay_detected\": %zu,\n",
-                 corrupted_offsets.size(),
-                 static_cast<unsigned long long>(structural_findings),
-                 detected);
-    std::fprintf(file, "  \"gates_passed\": %s",
-                 failures.empty() ? "true" : "false");
-    if (!failures.empty()) {
-      std::fprintf(file, ",\n  \"failures\": [\n");
-      for (std::size_t i = 0; i < failures.size(); ++i) {
-        std::fprintf(file, "    \"%s\"%s\n", failures[i].c_str(),
-                     i + 1 == failures.size() ? "" : ",");
-      }
-      std::fprintf(file, "  ]");
-    }
-    std::fprintf(file, "\n}\n");
-    std::fclose(file);
-    std::printf("(results written to %s)\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "warning: cannot write %s\n", json_path.c_str());
-  }
-
-  for (const auto& failure : failures) {
-    std::fprintf(stderr, "GATE FAILED: %s\n", failure.c_str());
-  }
-  return failures.empty() ? 0 : 1;
+  report.field("duration_s", duration_s)
+      .field("recorded_events", recorded.oplog_recorded)
+      .field("record_wall_s", record_wall, 4)
+      .field("replay_wall_s", replay_wall, 4)
+      .field("wall_speedup", wall_speedup, 2)
+      .field("bytes_equal", bytes_equal)
+      .field("replay_divergences", replay_divergences)
+      .field("clean_replay_runs", clean.replay_runs)
+      .field("clean_mismatched_words", clean.replay.mismatched_words)
+      .field("storm_chains", storm_stats.chains)
+      .field("storm_unique_chains", storm_stats.unique_chains)
+      .field("storm_duplicate_ratio", storm_stats.duplicate_ratio(), 4)
+      .field("storm_naive_cost", storm_stats.naive_cost)
+      .field("storm_dedup_cost", storm_stats.dedup_cost)
+      .field("storm_verdict_wall_ms", storm_verdict_ms, 4)
+      .field("storm_modelled_over_measured", storm_modelled_over_measured, 2)
+      .field("seeded_corruptions", corrupted_offsets.size())
+      .field("structural_findings", structural_findings)
+      .field("replay_detected", detected);
+  return report.finish(json_path);
 }

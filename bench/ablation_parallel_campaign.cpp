@@ -41,10 +41,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
 /// The A10-style workload: Table-2 audit-effectiveness campaign under the
 /// hybrid incremental audit.
 experiments::AuditRunParams workload(std::size_t duration_s) {
@@ -119,7 +115,7 @@ double scheduler_events_per_s(bool emulate_pending_set) {
   }
   const auto start = Clock::now();
   sched.run();
-  const double elapsed = seconds_since(start);
+  const double elapsed = bench::seconds_since(start);
   return elapsed > 0.0 ? static_cast<double>(fired) / elapsed : 0.0;
 }
 
@@ -141,10 +137,11 @@ int main(int argc, char** argv) {
   // --- micro-check: scheduler event throughput ---
   const double sched_tombstone = scheduler_events_per_s(false);
   const double sched_hashset = scheduler_events_per_s(true);
+  const double sched_speedup =
+      sched_hashset > 0.0 ? sched_tombstone / sched_hashset : 0.0;
   std::printf("Scheduler micro-check: %.1f M events/s (tombstone cancel) vs "
               "%.1f M events/s (+ emulated pending-id hash set): %.2fx\n\n",
-              sched_tombstone / 1e6, sched_hashset / 1e6,
-              sched_hashset > 0.0 ? sched_tombstone / sched_hashset : 0.0);
+              sched_tombstone / 1e6, sched_hashset / 1e6, sched_speedup);
 
   // --- campaign wall-clock: serial vs parallel, identical seeds ---
   const auto params = workload(duration_s);
@@ -152,12 +149,12 @@ int main(int argc, char** argv) {
   experiments::set_default_campaign_jobs(1);
   const auto serial_start = Clock::now();
   const auto serial = experiments::run_audit_series(params, runs);
-  const double serial_s = seconds_since(serial_start);
+  const double serial_s = bench::seconds_since(serial_start);
 
   experiments::set_default_campaign_jobs(jobs);
   const auto parallel_start = Clock::now();
   const auto parallel = experiments::run_audit_series(params, runs);
-  const double parallel_s = seconds_since(parallel_start);
+  const double parallel_s = bench::seconds_since(parallel_start);
 
   const double speedup = parallel_s > 0.0 ? serial_s / parallel_s : 0.0;
   const std::string serial_row = join_row(aggregate_csv_row(serial));
@@ -181,25 +178,18 @@ int main(int argc, char** argv) {
               "at any job count.\n",
               hw);
 
-  std::FILE* file = std::fopen(json_path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", json_path.c_str());
-  } else {
-    std::fprintf(
-        file,
-        "{\n  \"bench\": \"parallel_campaign\",\n"
-        "  \"runs\": %zu,\n  \"duration_s\": %zu,\n  \"jobs\": %zu,\n"
-        "  \"hardware_concurrency\": %u,\n"
-        "  \"serial_wall_s\": %.3f,\n  \"parallel_wall_s\": %.3f,\n"
-        "  \"speedup\": %.2f,\n  \"aggregates_equal\": %s,\n"
-        "  \"scheduler_events_per_s\": %.0f,\n"
-        "  \"scheduler_events_per_s_with_hashset\": %.0f,\n"
-        "  \"scheduler_speedup\": %.2f\n}\n",
-        runs, duration_s, jobs, hw, serial_s, parallel_s, speedup,
-        equal ? "true" : "false", sched_tombstone, sched_hashset,
-        sched_hashset > 0.0 ? sched_tombstone / sched_hashset : 0.0);
-    std::fclose(file);
-    std::printf("(results written to %s)\n", json_path.c_str());
-  }
-  return equal ? 0 : 1;
+  bench::Report report("parallel_campaign");
+  report.gate(equal, "parallel aggregate row differs from the serial one");
+  report.field("runs", runs)
+      .field("duration_s", duration_s)
+      .field("jobs", jobs)
+      .field("hardware_concurrency", hw)
+      .field("serial_wall_s", serial_s, 3)
+      .field("parallel_wall_s", parallel_s, 3)
+      .field("speedup", speedup, 2)
+      .field("aggregates_equal", equal)
+      .field("scheduler_events_per_s", sched_tombstone, 0)
+      .field("scheduler_events_per_s_with_hashset", sched_hashset, 0)
+      .field("scheduler_speedup", sched_speedup, 2);
+  return report.finish(json_path);
 }

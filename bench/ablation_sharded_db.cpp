@@ -342,9 +342,7 @@ ArmOutput run_arm(const Plan& plan, std::uint32_t shards,
         exec_op(plan, i, api, rec, out.digests);
       }
     }
-    out.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
+    out.seconds = bench::seconds_since(start);
   } else {
     // Pre-split every round's body by shard (plain routing work; the
     // timed section below is the execution itself).
@@ -372,9 +370,7 @@ ArmOutput run_arm(const Plan& plan, std::uint32_t shards,
         exec_op(plan, i, api, rec, out.digests);
       }
     }
-    out.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
+    out.seconds = bench::seconds_since(start);
   }
   out.ops_per_s = out.seconds > 0.0
                       ? static_cast<double>(plan.ops.size()) / out.seconds
@@ -547,26 +543,20 @@ int main(int argc, char** argv) {
   std::printf("\nresults: serial-1 vs serial-%u %s, serial-%u vs parallel-%u %s\n",
               shards, div_1_n < 0 ? "identical" : "DIVERGED", shards, shards,
               div_n_p < 0 ? "identical" : "DIVERGED");
-  if (div_1_n >= 0) {
-    std::fprintf(stderr, "FAIL: serial-1 vs serial-N diverged at op %ld\n",
-                 div_1_n);
-  }
-  if (div_n_p >= 0) {
-    std::fprintf(stderr, "FAIL: serial-N vs parallel-N diverged at op %ld\n",
-                 div_n_p);
-  }
+  bench::Report report("sharded_db");
+  report.gate(div_1_n < 0, "serial-1 vs serial-N diverged at op %ld", div_1_n);
+  report.gate(div_n_p < 0, "serial-N vs parallel-N diverged at op %ld",
+              div_n_p);
 
   // --- gate: per-shard region byte-equality (parallel vs serial oracle) ---
   bool regions_equal = true;
   for (std::uint32_t s = 0; s < shards; ++s) {
     const auto& a = serialN.regions[s];
     const auto& b = parallelN.regions[s];
-    if (a.size() != b.size() ||
-        std::memcmp(a.data(), b.data(), a.size()) != 0) {
-      regions_equal = false;
-      std::fprintf(stderr, "FAIL: shard %u region differs from the serial "
-                           "oracle\n", s);
-    }
+    regions_equal &= report.gate(
+        a.size() == b.size() &&
+            std::memcmp(a.data(), b.data(), a.size()) == 0,
+        "shard %u region differs from the serial oracle", s);
   }
   std::printf("regions: %u shard images vs serial oracle: %s\n", shards,
               regions_equal ? "byte-identical" : "DIVERGED");
@@ -595,10 +585,7 @@ int main(int argc, char** argv) {
       "scaling: %.2fx vs serial-1 (gate: >= %.2fx at effective parallelism "
       "%u = min(%u shards, %u cores))\n",
       scaling, required, effective, shards, hw);
-  if (!scales) {
-    std::fprintf(stderr, "FAIL: scaling %.2fx below %.2fx\n", scaling,
-                 required);
-  }
+  report.gate(scales, "scaling %.2fx below %.2fx", scaling, required);
 
   // --- gate: audit isolation under single-shard overload ---
   const IsolationResult isolation =
@@ -612,10 +599,8 @@ int main(int argc, char** argv) {
   }
   std::printf("  worst non-overloaded ratio: %.3fx (gate: <= 1.10x): %s\n",
               isolation.worst_ratio, isolation.pass ? "ok" : "FAIL");
-  if (!isolation.pass) {
-    std::fprintf(stderr, "FAIL: a non-overloaded shard's audit cycle "
-                         "makespan rose more than 10%%\n");
-  }
+  report.gate(isolation.pass, "a non-overloaded shard's audit cycle "
+                              "makespan rose more than 10%%");
 
   // --- obs surface ---
   const auto& m = parallelN.metrics;
@@ -630,48 +615,34 @@ int main(int argc, char** argv) {
     capture->absorb_run({parallelN.metrics, {}});
   }
 
-  const bool pass = results_equal && regions_equal && scales && isolation.pass;
-
-  if (std::FILE* file = std::fopen(json_path.c_str(), "w")) {
-    std::fprintf(file, "{\n  \"bench\": \"sharded_db\",\n");
-    std::fprintf(file,
-                 "  \"shards\": %u,\n  \"scale\": %zu,\n"
-                 "  \"per_shard_scale\": %u,\n  \"total_records\": %zu,\n"
-                 "  \"ops\": %zu,\n  \"transfers\": %zu,\n",
-                 shards, scale, per_shard_scale, total_records,
-                 plan.ops.size(), plan.transfers);
-    std::fprintf(file, "  \"arms\": [\n");
-    std::fprintf(file,
-                 "    {\"name\": \"serial_1\", \"ops_per_s\": %.0f},\n"
-                 "    {\"name\": \"serial_n\", \"ops_per_s\": %.0f},\n"
-                 "    {\"name\": \"parallel_n\", \"ops_per_s\": %.0f}\n  ],\n",
-                 serial1.ops_per_s, serialN.ops_per_s, parallelN.ops_per_s);
-    std::fprintf(file,
-                 "  \"results_equal\": %s,\n  \"regions_equal\": %s,\n",
-                 results_equal ? "true" : "false",
-                 regions_equal ? "true" : "false");
-    std::fprintf(file,
-                 "  \"scaling\": {\"measured\": %.3f, \"required\": %.3f, "
-                 "\"hw_cores\": %u, \"effective_parallelism\": %u, "
-                 "\"pass\": %s},\n",
-                 scaling, required, hw, effective, scales ? "true" : "false");
-    std::fprintf(file,
-                 "  \"isolation\": {\"worst_ratio\": %.4f, \"pass\": %s},\n",
-                 isolation.worst_ratio, isolation.pass ? "true" : "false");
-    std::fprintf(file,
-                 "  \"routing\": {\"routed\": %llu, \"cross_shard_links\": "
-                 "%llu, \"imbalance_milli\": %llu},\n",
-                 static_cast<unsigned long long>(
-                     m.counter(obs::Counter::db_shard_routed)),
-                 static_cast<unsigned long long>(
-                     m.counter(obs::Counter::db_cross_shard_links)),
-                 static_cast<unsigned long long>(parallelN.imbalance));
-    std::fprintf(file, "  \"pass\": %s\n}\n", pass ? "true" : "false");
-    std::fclose(file);
-    std::printf("(json written to %s)\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "warning: cannot write %s\n", json_path.c_str());
+  report.field("shards", shards)
+      .field("scale", scale)
+      .field("per_shard_scale", per_shard_scale)
+      .field("total_records", total_records)
+      .field("ops", plan.ops.size())
+      .field("transfers", plan.transfers);
+  bench::Json& arms = report.array("arms");
+  for (const auto& [name, arm] :
+       {std::pair{"serial_1", &serial1}, std::pair{"serial_n", &serialN},
+        std::pair{"parallel_n", &parallelN}}) {
+    arms.object().field("name", name).field("ops_per_s", arm->ops_per_s, 0);
   }
-
-  return pass ? 0 : 1;
+  report.field("results_equal", results_equal)
+      .field("regions_equal", regions_equal);
+  report.object("scaling")
+      .field("measured", scaling, 3)
+      .field("required", required, 3)
+      .field("hw_cores", hw)
+      .field("effective_parallelism", effective)
+      .field("pass", scales);
+  report.object("isolation")
+      .field("worst_ratio", isolation.worst_ratio, 4)
+      .field("pass", isolation.pass);
+  report.object("routing")
+      .field("routed", m.counter(obs::Counter::db_shard_routed))
+      .field("cross_shard_links", m.counter(obs::Counter::db_cross_shard_links))
+      .field("imbalance_milli", parallelN.imbalance);
+  report.field("pass", results_equal && regions_equal && scales &&
+                           isolation.pass);
+  return report.finish(json_path);
 }

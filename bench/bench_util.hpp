@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -14,6 +15,7 @@
 #include "experiments/campaign.hpp"
 #include "experiments/replay_workload.hpp"
 #include "obs/capture.hpp"
+#include "report.hpp"
 
 namespace wtc::bench {
 
@@ -183,6 +185,13 @@ inline void campaign_init(int argc, char** argv) {
                                        argv[i] + "'");
     }
   }
+}
+
+/// Wall-clock seconds since `start`, a steady_clock::now() reading.
+inline double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
 }
 
 /// Writes rows (first row = header) as CSV for external plotting.

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -22,6 +23,7 @@
 #include "audit/replay.hpp"
 #include "common/table_printer.hpp"
 #include "db/run_op_log.hpp"
+#include "report.hpp"
 
 using namespace wtc;
 
@@ -71,6 +73,12 @@ struct Summary {
   std::map<db::TableId, std::size_t> by_table;
   std::size_t chains = 0;
   std::size_t unique_chains = 0;
+
+  double duplicate_ratio() const {
+    return chains == 0 ? 0.0
+                       : static_cast<double>(chains - unique_chains) /
+                             static_cast<double>(chains);
+  }
 };
 
 Summary summarize(const std::vector<db::ApiEvent>& events) {
@@ -131,47 +139,36 @@ void print_text(const std::string& path, std::size_t bytes, const Summary& s) {
     tables.add_row({std::to_string(table), std::to_string(count)});
   }
   std::printf("%s", tables.render().c_str());
-  const double ratio =
-      s.chains == 0 ? 0.0
-                    : static_cast<double>(s.chains - s.unique_chains) /
-                          static_cast<double>(s.chains);
   std::printf(
       "replay chains: %zu (%zu unique, duplicate ratio %.1f%% — the replay "
       "audit executes only the unique ones)\n",
-      s.chains, s.unique_chains, 100.0 * ratio);
+      s.chains, s.unique_chains, 100.0 * s.duplicate_ratio());
 }
 
 void print_json(const std::string& path, std::size_t bytes, const Summary& s) {
-  std::printf("{\n  \"file\": \"%s\",\n  \"bytes\": %zu,\n", path.c_str(),
-              bytes);
-  std::printf("  \"events\": %zu,\n  \"updates\": %zu,\n", s.events, s.updates);
-  std::printf("  \"first_time\": %llu,\n  \"last_time\": %llu,\n",
-              static_cast<unsigned long long>(s.first_time),
-              static_cast<unsigned long long>(s.last_time));
-  const auto map_json = [](const char* key, const auto& counts,
-                           const auto& name_of) {
-    std::printf("  \"%s\": {", key);
-    bool first = true;
-    for (const auto& [k, count] : counts) {
-      std::printf("%s\"%s\": %zu", first ? "" : ", ", name_of(k).c_str(),
-                  count);
-      first = false;
-    }
-    std::printf("},\n");
-  };
-  map_json("by_op", s.by_op,
-           [](db::ApiOp op) { return std::string(op_name(op)); });
-  map_json("by_thread", s.by_thread,
-           [](std::uint32_t thread) { return std::to_string(thread); });
-  map_json("by_table", s.by_table,
-           [](db::TableId table) { return std::to_string(table); });
-  const double ratio =
-      s.chains == 0 ? 0.0
-                    : static_cast<double>(s.chains - s.unique_chains) /
-                          static_cast<double>(s.chains);
-  std::printf("  \"chains\": %zu,\n  \"unique_chains\": %zu,\n", s.chains,
-              s.unique_chains);
-  std::printf("  \"duplicate_ratio\": %.4f\n}\n", ratio);
+  bench::Json doc;
+  doc.field("file", path)
+      .field("bytes", bytes)
+      .field("events", s.events)
+      .field("updates", s.updates)
+      .field("first_time", s.first_time)
+      .field("last_time", s.last_time);
+  bench::Json& by_op = doc.object("by_op");
+  for (const auto& [op, count] : s.by_op) {
+    by_op.field(op_name(op), count);
+  }
+  bench::Json& by_thread = doc.object("by_thread");
+  for (const auto& [thread, count] : s.by_thread) {
+    by_thread.field(std::to_string(thread), count);
+  }
+  bench::Json& by_table = doc.object("by_table");
+  for (const auto& [table, count] : s.by_table) {
+    by_table.field(std::to_string(table), count);
+  }
+  doc.field("chains", s.chains)
+      .field("unique_chains", s.unique_chains)
+      .field("duplicate_ratio", s.duplicate_ratio(), 4);
+  std::printf("%s\n", doc.str().c_str());
 }
 
 }  // namespace
@@ -200,12 +197,9 @@ int main(int argc, char** argv) {
                  log.error_offset);
     return 1;
   }
-  std::size_t bytes = 0;
-  if (std::FILE* file = std::fopen(path, "rb")) {
-    std::fseek(file, 0, SEEK_END);
-    bytes = static_cast<std::size_t>(std::ftell(file));
-    std::fclose(file);
-  }
+  std::error_code size_error;
+  const std::uintmax_t size = std::filesystem::file_size(path, size_error);
+  const std::size_t bytes = size_error ? 0 : static_cast<std::size_t>(size);
   const Summary s = summarize(log.events);
   if (json) {
     print_json(path, bytes, s);
