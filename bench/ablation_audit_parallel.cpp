@@ -1,15 +1,19 @@
-// Ablation A14: chunk-parallel, CPU-budgeted audit engine.
+// Ablation A14: modelled multi-core, CPU-budgeted audit engine.
 //
 // Two claims, two phases:
 //
 //   latency phase   The audit engine's detection work (static chunks,
 //                   record headers, field ranges) is data-parallel over
-//                   the dirty grid; splitting it across a worker pool
-//                   cuts the modelled audit-cycle latency (the critical
-//                   path) while every *output* — findings, repairs,
-//                   booked CPU, escape rates — stays bit-identical to the
-//                   sequential engine at any thread count. Arms: 1/2/4/8
-//                   audit threads over a Table-5-scale controller schema.
+//                   the dirty grid. The engine scans on one host thread
+//                   and models the split: fixed-size tasks greedily
+//                   assigned to `audit_threads` workers give the modelled
+//                   audit-cycle latency (the critical path), while every
+//                   *output* — findings, repairs, booked CPU, escape
+//                   rates — is bit-identical at any modelled count. Arms:
+//                   1/2/4/8 modelled audit threads over a Table-5-scale
+//                   controller schema. Real audit threads measured ~1.0x
+//                   on the wall clock (EXPERIMENTS A14), so the engine
+//                   runs none.
 //
 //   budget phase    Under overload (audit demand exceeding the per-cycle
 //                   CPU allowance) the budgeted engine truncates mid-scan,
@@ -24,7 +28,7 @@
 //   * aggregate outcomes identical across all thread arms (the
 //     determinism contract — escape-rate delta is therefore exactly 0,
 //     well under the 0.1 pp tolerance),
-//   * cycle-latency speedup at --audit-threads (default 4) >= 2x,
+//   * modelled cycle-latency speedup at --audit-threads (default 4) >= 2x,
 //   * budgeted arm's mean audit CPU per cycle <= 1.05x the budget with
 //     the budget actually binding (most cycles exhausted).
 //
@@ -143,7 +147,7 @@ int main(int argc, char** argv) {
       bench::flag_str(argc, argv, "json", "BENCH_audit_parallel.json");
   bench::campaign_init(argc, argv);
 
-  std::printf("=== Ablation A14: chunk-parallel, CPU-budgeted audit "
+  std::printf("=== Ablation A14: modelled-parallel, CPU-budgeted audit "
               "(%zu runs per arm, %zus each, scale %zu) ===\n\n",
               runs, duration_s, scale);
 

@@ -34,15 +34,16 @@
 //   replay, median of 21 passes — is reported next to its booked cost.)
 //
 //   (determinism rides along: replay-audit findings/stats digests are
-//   bit-identical at 1/2/4/8 replay threads, and the zero-simulation
-//   engine is byte-stable across --jobs fan-out.)
+//   bit-identical at 1/2/4/8 modelled replay threads, and the
+//   zero-simulation engine is byte-stable across --jobs fan-out.)
 //
 // Flags: --duration=SECONDS (record-run horizon, default 400),
 //        --scale=N (Table-5 schema multiplier for the record arm,
 //        default 64 — the recording run's periodic audit sweeps scan the
 //        scaled region for real, which is exactly the work the replay
 //        engine never does),
-//        --workloads=DIR (default "workloads"),
+//        --workloads=DIR (default: the source tree's workloads/, fixed at
+//        configure time, so the bench runs from any directory),
 //        --corruptions=N (semantic phase seeds, default 24),
 //        --min-wall-speedup=X (default 5; smoke runs may relax — timing
 //        noise on a tiny horizon, the byte-identity gate stays exact),
@@ -177,7 +178,7 @@ int main(int argc, char** argv) {
   const std::size_t min_wall_speedup =
       bench::flag(argc, argv, "min-wall-speedup", 5);
   const std::string workloads_dir =
-      bench::flag_str(argc, argv, "workloads", "workloads");
+      bench::flag_str(argc, argv, "workloads", WTC_WORKLOADS_DIR);
   const std::string record_out =
       bench::flag_str(argc, argv, "record-out", "BENCH_log_replay.oplog");
   const std::string json_path =
@@ -439,8 +440,10 @@ int main(int argc, char** argv) {
 
   report.field("duration_s", duration_s)
       .field("recorded_events", recorded.oplog_recorded)
-      .field("record_wall_s", record_wall, 4)
-      .field("replay_wall_s", replay_wall, 4)
+      // Nanosecond digits: the replay median is ~0.1 ms, and the two
+      // fields must reproduce wall_speedup to its 2 decimals.
+      .field("record_wall_s", record_wall, 9)
+      .field("replay_wall_s", replay_wall, 9)
       .field("wall_speedup", wall_speedup, 2)
       .field("bytes_equal", bytes_equal)
       .field("replay_divergences", replay_divergences)

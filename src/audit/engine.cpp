@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 
 #include "common/crc32.hpp"
 #include "db/direct.hpp"
@@ -74,6 +73,7 @@ AuditEngine::AuditEngine(db::Database& db, EngineConfig config,
   config_.cost_per_loop_semantic = scale(config_.cost_per_loop_semantic);
   config_.cost_per_static_chunk = scale(config_.cost_per_static_chunk);
   config_.cost_event_check = scale(config_.cost_event_check);
+  config_.parallel_grain = std::max<std::size_t>(1, config_.parallel_grain);
   // Golden checksums: chunk every static span and CRC the pristine bytes.
   for (const auto& [offset, length] : db_.static_spans()) {
     for (std::size_t at = offset; at < offset + length;
@@ -133,41 +133,12 @@ std::uint64_t AuditEngine::table_dirty_chunks(db::TableId t) const {
       mark);
 }
 
-std::size_t AuditEngine::parallel_detect(
-    std::size_t items, const std::function<void(std::size_t)>& detect) {
-  if (items == 0) {
-    return 0;
-  }
-  const std::size_t grain = std::max<std::size_t>(1, config_.parallel_grain);
+std::vector<sim::Duration> AuditEngine::task_slots(std::size_t items) const {
+  const std::size_t grain = config_.parallel_grain;
   const std::size_t tasks = (items + grain - 1) / grain;
-  // Logical detection tasks — counted whether or not a pool runs them, so
-  // the counter is identical at any audit_threads setting.
   obs::count(obs::Counter::audit_parallel_tasks,
              static_cast<std::uint64_t>(tasks));
-  const std::size_t workers = std::min(config_.audit_threads, tasks);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < items; ++i) {
-      detect(i);
-    }
-    return tasks;
-  }
-  if (!pool_) {
-    pool_ = std::make_unique<common::WorkerPool>(config_.audit_threads - 1);
-  }
-  std::atomic<std::size_t> next{0};
-  pool_->dispatch(workers, [&](std::size_t) {
-    for (;;) {
-      const std::size_t task = next.fetch_add(1, std::memory_order_relaxed);
-      if (task >= tasks) {
-        return;
-      }
-      const std::size_t end = std::min(items, (task + 1) * grain);
-      for (std::size_t i = task * grain; i < end; ++i) {
-        detect(i);
-      }
-    }
-  });
-  return tasks;
+  return std::vector<sim::Duration>(tasks, 0);
 }
 
 sim::Duration AuditEngine::greedy_makespan(
@@ -252,9 +223,8 @@ CheckResult AuditEngine::static_scan(bool exhaustive, sim::Duration budget,
                                  ? progress->mark
                                  : db_.write_generation();
 
-  // Select: the chunk indexes this installment must verify. Computed up
-  // front (not interleaved with recovery) so the parallel detection phase
-  // sees exactly the set the merge phase will book.
+  // Select: the chunk indexes this installment must verify, so the
+  // modelled task boundaries cover exactly the set the loop below books.
   std::vector<std::size_t> selected;
   for (std::size_t i = resume; i < static_chunks_.size(); ++i) {
     const auto& chunk = static_chunks_[i];
@@ -264,18 +234,9 @@ CheckResult AuditEngine::static_scan(bool exhaustive, sim::Duration budget,
     }
   }
 
-  // Detect (read-only, parallelizable): golden-CRC compare per chunk.
-  std::vector<char> clean(selected.size(), 0);
-  parallel_detect(selected.size(), [&](std::size_t k) {
-    const auto& chunk = static_chunks_[selected[k]];
-    const auto live = db_.region().subspan(chunk.offset, chunk.length);
-    clean[k] = static_cast<char>(common::crc32(live) == chunk.golden_crc);
-  });
-
-  // Merge in chunk order: cost booking, findings, and reloads all happen
-  // here on the calling thread, so output is identical at any thread count.
-  const std::size_t grain = std::max<std::size_t>(1, config_.parallel_grain);
-  std::vector<sim::Duration> task_cost((selected.size() + grain - 1) / grain, 0);
+  // Verify in chunk order: golden-CRC compare, cost booking, findings and
+  // reloads. A reload rewrites only its own chunk, never a later one.
+  std::vector<sim::Duration> task_cost = task_slots(selected.size());
   bool truncated = false;
   for (std::size_t k = 0; k < selected.size(); ++k) {
     if (budget != kUnlimited && result.cost >= budget && k > 0) {
@@ -288,11 +249,12 @@ CheckResult AuditEngine::static_scan(bool exhaustive, sim::Duration budget,
       break;
     }
     result.cost += config_.cost_per_static_chunk;
-    task_cost[k / grain] += config_.cost_per_static_chunk;
-    if (clean[k]) {
+    task_cost[k / config_.parallel_grain] += config_.cost_per_static_chunk;
+    const auto& chunk = static_chunks_[selected[k]];
+    if (common::crc32(db_.region().subspan(chunk.offset, chunk.length)) ==
+        chunk.golden_crc) {
       continue;
     }
-    const auto& chunk = static_chunks_[selected[k]];
     Finding finding;
     finding.technique = Technique::StaticChecksum;
     finding.recovery = Recovery::ReloadSpan;
@@ -382,9 +344,8 @@ CheckResult AuditEngine::structure_scan(db::TableId t, bool exhaustive,
     }
   }
 
-  // Select: records this installment must validate. All repairs happen
-  // after detection (below), so an up-front selection sees the same dirty
-  // set the legacy interleaved loop did.
+  // Select: records this installment must validate. Repairs wait until
+  // after the loop below, so every verdict reads the pre-repair headers.
   std::vector<db::RecordIndex> selected;
   for (db::RecordIndex r = static_cast<db::RecordIndex>(resume);
        r < tl.num_records; ++r) {
@@ -393,19 +354,9 @@ CheckResult AuditEngine::structure_scan(db::TableId t, bool exhaustive,
     }
   }
 
-  // Detect (read-only, parallelizable): corruption verdict per header,
-  // against the pre-repair region state — exactly what the sequential
-  // loop reads, since it too repairs only after the detection loop.
-  std::vector<char> corrupt(selected.size(), 0);
-  parallel_detect(selected.size(), [&](std::size_t k) {
-    corrupt[k] = static_cast<char>(
-        header_corrupted(t, selected[k], expected_next[selected[k]]));
-  });
-
-  // Merge in record order, replaying the sequential loop's consecutive-run
-  // accounting (clean-skipped records reset the run).
-  const std::size_t grain = std::max<std::size_t>(1, config_.parallel_grain);
-  std::vector<sim::Duration> task_cost((selected.size() + grain - 1) / grain, 0);
+  // Validate in record order; clean-skipped records reset the
+  // consecutive-corruption run.
+  std::vector<sim::Duration> task_cost = task_slots(selected.size());
   std::vector<db::RecordIndex> bad;
   std::uint32_t consecutive = progress != nullptr ? progress->consecutive : 0;
   bool truncated = false;
@@ -429,14 +380,13 @@ CheckResult AuditEngine::structure_scan(db::TableId t, bool exhaustive,
       break;
     }
     result.cost += config_.cost_per_record_structural;
-    task_cost[k / grain] += config_.cost_per_record_structural;
-    if (corrupt[k]) {
+    task_cost[k / config_.parallel_grain] += config_.cost_per_record_structural;
+    if (header_corrupted(t, r, expected_next[r])) {
       bad.push_back(r);
       if (++consecutive >= config_.consecutive_header_threshold) {
         // Strong indication of misalignment: reload the whole database
-        // (§4.3.2). Dynamic state — all active calls — is lost. Verdicts
-        // for the remaining records are discarded unbooked, exactly like
-        // the sequential loop's early return.
+        // (§4.3.2). Dynamic state — all active calls — is lost, and the
+        // remaining records go unchecked and unbooked.
         Finding finding;
         finding.technique = Technique::StructuralCheck;
         finding.recovery = Recovery::ReloadAll;
@@ -489,25 +439,6 @@ CheckResult AuditEngine::check_ranges(db::TableId t, ScanMode mode) {
   return tally(ranges_scan(t, mode == ScanMode::Exhaustive, kUnlimited, nullptr));
 }
 
-namespace {
-
-/// Read-only verdict for one record of the range scan. `checked` fields
-/// were examined (each books one cost_per_field_range in the merge);
-/// `violations` is a bit per FieldId that failed its rule. The detection
-/// phase computes verdicts against the pre-recovery region state, which
-/// is exactly what the sequential interleaved loop read too: recovery
-/// writes for record A touch only A's own field/status bytes (plus
-/// neighbors' header link words on a free-relink), none of which a later
-/// record's range detection reads.
-struct RangeVerdict {
-  enum class Kind : std::uint8_t { Skip, Grace, Free, Active };
-  Kind kind = Kind::Skip;
-  std::uint32_t checked = 0;
-  std::uint64_t violations = 0;
-};
-
-}  // namespace
-
 CheckResult AuditEngine::ranges_scan(db::TableId t, bool exhaustive,
                                      sim::Duration budget,
                                      ScanProgress* progress) {
@@ -533,8 +464,8 @@ CheckResult AuditEngine::ranges_scan(db::TableId t, bool exhaustive,
   }
 
   // Select: records this installment must examine (dirty and not
-  // scrub-attested). The skip reasons here book nothing, same as the
-  // sequential loop's `continue`s.
+  // scrub-attested). Records left out here book nothing and take no slot
+  // in a modelled task.
   std::vector<db::RecordIndex> selected;
   for (db::RecordIndex r = static_cast<db::RecordIndex>(resume);
        r < spec.num_records; ++r) {
@@ -557,55 +488,11 @@ CheckResult AuditEngine::ranges_scan(db::TableId t, bool exhaustive,
     selected.push_back(r);
   }
 
-  // Detect (read-only, parallelizable).
-  std::vector<RangeVerdict> verdict(selected.size());
-  parallel_detect(selected.size(), [&](std::size_t k) {
-    const db::RecordIndex r = selected[k];
-    RangeVerdict& v = verdict[k];
-    const auto header = db::direct::read_header(db_, t, r);
-    if (recently_written(t, r)) {
-      v.kind = RangeVerdict::Kind::Grace;
-      return;
-    }
-    if (header.status == db::kStatusFree) {
-      // Free records must hold exactly their catalog defaults (the API
-      // scrubs them on free) — the strongest possible rule, so the audit
-      // sweep removes latent errors in unused data ("the entire database
-      // is checked for errors periodically", §5.1).
-      v.kind = RangeVerdict::Kind::Free;
-      for (db::FieldId f = 0; f < spec.fields.size(); ++f) {
-        ++v.checked;
-        if (db::direct::read_field(db_, t, r, f) !=
-            spec.fields[f].default_value) {
-          v.violations |= std::uint64_t{1} << f;
-        }
-      }
-      return;
-    }
-    if (header.status != db::kStatusActive) {
-      return;  // corrupted status: the structural audit owns this
-    }
-    v.kind = RangeVerdict::Kind::Active;
-    for (db::FieldId f = 0; f < spec.fields.size(); ++f) {
-      const auto& field = spec.fields[f];
-      if (!field.has_range()) {
-        continue;
-      }
-      ++v.checked;
-      const std::int32_t value = db::direct::read_field(db_, t, r, f);
-      if (value >= *field.range_min && value <= *field.range_max) {
-        continue;
-      }
-      v.violations |= std::uint64_t{1} << f;
-      if (config_.free_dynamic_on_range_error) {
-        return;  // record will be freed; no further fields are scanned
-      }
-    }
-  });
-
-  // Merge in record order: cost booking, findings, resets, and frees.
-  const std::size_t grain = std::max<std::size_t>(1, config_.parallel_grain);
-  std::vector<sim::Duration> task_cost((selected.size() + grain - 1) / grain, 0);
+  // Examine in record order: each record is read, booked and recovered
+  // before the next. A recovery rewrites only the record's own fields and
+  // status (plus neighbours' link words when it frees), none of which a
+  // later record's check reads.
+  std::vector<sim::Duration> task_cost = task_slots(selected.size());
   bool truncated = false;
   for (std::size_t k = 0; k < selected.size(); ++k) {
     if (budget != kUnlimited && result.cost >= budget && k > 0) {
@@ -618,25 +505,34 @@ CheckResult AuditEngine::ranges_scan(db::TableId t, bool exhaustive,
       break;
     }
     const db::RecordIndex r = selected[k];
-    const RangeVerdict& v = verdict[k];
-    if (v.kind == RangeVerdict::Kind::Skip) {
-      continue;
-    }
-    if (v.kind == RangeVerdict::Kind::Grace) {
+    if (recently_written(t, r)) {
       // Possibly mid-transaction: skipped unverified, so the watermark is
       // held back below its generation and it stays dirty for next cycle.
       hold_watermark(db_.field_generation(t, r), new_mark);
       continue;
     }
-    const sim::Duration record_cost =
-        static_cast<sim::Duration>(v.checked) * config_.cost_per_field_range;
-    result.cost += record_cost;
-    task_cost[k / grain] += record_cost;
+    const std::uint32_t status = db::direct::read_header(db_, t, r).status;
+    // Free records must hold exactly their catalog defaults (the API
+    // scrubs them on free) — the strongest possible rule, so the audit
+    // sweep removes latent errors in unused data ("the entire database is
+    // checked for errors periodically", §5.1). Active records must keep
+    // their ruled fields in range.
+    const bool free = status == db::kStatusFree;
+    if (!free && status != db::kStatusActive) {
+      continue;  // corrupted status: the structural audit owns this
+    }
+    sim::Duration record_cost = 0;
     for (db::FieldId f = 0; f < spec.fields.size(); ++f) {
-      if ((v.violations & (std::uint64_t{1} << f)) == 0) {
+      const auto& field = spec.fields[f];
+      if (!free && !field.has_range()) {
         continue;
       }
-      const auto& field = spec.fields[f];
+      record_cost += config_.cost_per_field_range;
+      const std::int32_t value = db::direct::read_field(db_, t, r, f);
+      if (free ? value == field.default_value
+               : value >= *field.range_min && value <= *field.range_max) {
+        continue;
+      }
       Finding finding;
       finding.technique = Technique::RangeCheck;
       finding.table = t;
@@ -648,8 +544,7 @@ CheckResult AuditEngine::ranges_scan(db::TableId t, bool exhaustive,
       // Recovery: reset to the catalog default; in a dynamic table, also
       // free the record preemptively to stop propagation (§4.3.1).
       db::direct::write_field(db_, t, r, f, field.default_value);
-      if (v.kind == RangeVerdict::Kind::Active &&
-          config_.free_dynamic_on_range_error) {
+      if (!free && config_.free_dynamic_on_range_error) {
         finding.recovery = Recovery::FreeRecord;
         report(finding);
         db::direct::free_record(db_, t, r);
@@ -658,6 +553,8 @@ CheckResult AuditEngine::ranges_scan(db::TableId t, bool exhaustive,
       finding.recovery = Recovery::ResetField;
       report(finding);
     }
+    result.cost += record_cost;
+    task_cost[k / config_.parallel_grain] += record_cost;
   }
   scan_makespan_ = makespan_of(task_cost);
   if (!truncated) {
@@ -749,10 +646,10 @@ CheckResult AuditEngine::check_semantics(ScanMode mode) {
   return tally(semantics_scan(mode == ScanMode::Exhaustive, kUnlimited, nullptr));
 }
 
-// The semantic scan stays sequential even when audit_threads > 1: its
-// recovery (freeing a zombie chain) rewrites records that later anchors'
-// walks read, so detection and recovery interleave by design and cannot
-// be split into a read-only phase without changing results. Its budget
+// The semantic scan is one serial piece of the makespan model at any
+// audit_threads: its recovery (freeing a zombie chain) rewrites records
+// that later anchors' walks read, so its items cannot be modelled as
+// independent tasks without changing results. Its budget
 // truncation uses a flattened (table, record) ordinal as the resume
 // point: walk anchors occupy ordinals [0, total_records_), the orphan
 // sweep's tables occupy [total_records_, total_records_ + table_count).

@@ -20,12 +20,10 @@
 #include <deque>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "audit/report.hpp"
 #include "common/stats.hpp"
-#include "common/worker_pool.hpp"
 #include "db/database.hpp"
 #include "sim/time.hpp"
 
@@ -72,17 +70,16 @@ struct EngineConfig {
   /// it buys is measured by bench/ablation_incremental_audit.
   std::uint32_t full_sweep_interval = 10;
 
-  // --- chunk-parallel detection (perf: multi-core audit) ---
-  /// Worker count for the read-only detection phase of the static /
-  /// structural / range scans (1 = fully sequential). Detection results
-  /// are merged on the calling thread in deterministic chunk/record
-  /// order, and all cost booking, findings, repairs, and obs output
-  /// happen in that merge — so every output is bit-identical to the
-  /// sequential engine at any thread count.
+  // --- modelled multi-core audit ---
+  /// Worker count of the makespan model (1 = serial). Every scan runs on
+  /// the calling thread; this moves only `last_cycle_makespan` /
+  /// `total_makespan` and the audit.cycle_latency_us histogram. Findings,
+  /// repairs, booked cost and every other obs output are the same at any
+  /// value.
   std::size_t audit_threads = 1;
-  /// Detection-task granularity (items per task: static chunks or
-  /// records). Fixed — independent of `audit_threads` — so task
-  /// boundaries, the `audit.parallel_tasks` count, and the modelled
+  /// Items (static chunks or records) per modelled task of the static /
+  /// structural / range scans. Fixed — independent of `audit_threads` — so
+  /// task boundaries, the `audit.parallel_tasks` count, and the modelled
   /// cycle makespan depend only on the work, never on the worker count.
   std::size_t parallel_grain = 64;
 
@@ -201,8 +198,8 @@ class AuditEngine {
   // --- parallel/budgeted cycle outcome (valid after full_pass /
   // incremental_pass; all values are deterministic functions of the
   // configuration and workload, independent of host scheduling) ---
-  /// Modelled critical-path latency of the last cycle: per-scan detection
-  /// tasks greedily assigned to `audit_threads` workers in task order,
+  /// Modelled critical-path latency of the last cycle: per-scan tasks
+  /// greedily assigned to `audit_threads` modelled workers in task order,
   /// serial scans (semantic/selective) added whole. Equals the cycle's
   /// booked cost when audit_threads == 1.
   [[nodiscard]] sim::Duration last_cycle_makespan() const noexcept {
@@ -294,14 +291,10 @@ class AuditEngine {
                              ScanProgress* progress);
   CheckResult selective_scan(db::TableId t, bool exhaustive);
 
-  /// Runs `detect(i)` for every i in [0, items) — a read-only verdict
-  /// computation with no obs/log/region writes — partitioned into
-  /// `parallel_grain`-sized tasks, on the worker pool when
-  /// audit_threads > 1. Returns the task count (counted as
-  /// audit.parallel_tasks whether or not a pool ran them, so the counter
-  /// is identical at any thread count).
-  std::size_t parallel_detect(std::size_t items,
-                              const std::function<void(std::size_t)>& detect);
+  /// Zeroed per-task booked costs of a scan over `items` selected items,
+  /// one per `parallel_grain` of them (a skipped item keeps its slot);
+  /// counts the tasks as audit.parallel_tasks.
+  [[nodiscard]] std::vector<sim::Duration> task_slots(std::size_t items) const;
   /// Deterministic critical path of `task_costs` greedily assigned (in
   /// task order, to the least-loaded worker) across audit_threads workers.
   [[nodiscard]] sim::Duration makespan_of(
@@ -357,8 +350,6 @@ class AuditEngine {
   std::vector<std::vector<std::pair<db::TableId, db::RecordIndex>>> chain_anchor_;
 
   // --- parallel/budgeted cycle state ---
-  /// Detection worker pool, created lazily when audit_threads > 1.
-  std::unique_ptr<common::WorkerPool> pool_;
   /// Work deferred by budget exhaustion, run first next cycle (FIFO).
   std::deque<WorkUnit> carry_;
   /// Critical-path cost of the last scan (set by every scan; equals the

@@ -69,23 +69,9 @@ std::uint64_t mix_op(std::uint64_t hash, const db::ApiEvent& event) noexcept {
 
 ReplayAuditor::ReplayAuditor(const db::Database& db, ReplayConfig config)
     : db_(db), config_(config) {
-  if (config_.replay_threads > 1) {
-    pool_ = std::make_unique<common::WorkerPool>(config_.replay_threads - 1);
-  }
   table_base_.push_back(0);
   for (const db::TableLayout& table : db_.layout().tables()) {
     table_base_.push_back(table_base_.back() + table.num_records);
-  }
-}
-
-void ReplayAuditor::dispatch(std::size_t workers,
-                             const std::function<void(std::size_t)>& job) {
-  if (pool_ != nullptr && workers > 1) {
-    pool_->dispatch(workers, job);
-  } else {
-    for (std::size_t w = 0; w < workers; ++w) {
-      job(w);
-    }
   }
 }
 
@@ -224,23 +210,17 @@ ReplayResult ReplayAuditor::run(std::span<const db::ApiEvent> events) {
   obs::count(obs::Counter::replay_chains, stats.chains);
   obs::count(obs::Counter::replay_deduped, stats.deduped());
 
-  // --- execute each unique chain exactly once (parallel, strided into
-  // preallocated slots: bit-identical at any worker count) ---
+  // --- execute each unique chain exactly once, into its end-state slot;
+  // each chain is one task of the makespan model ---
   if (states_.size() < state_words) {
     states_.resize(state_words);
   }
   std::vector<sim::Duration> chain_costs(uniques_.size(), 0);
-  const std::size_t workers = std::max<std::size_t>(1, config_.replay_threads);
-  dispatch(workers, [&](std::size_t w) {
-    for (std::size_t u = w; u < uniques_.size(); u += workers) {
-      execute_chain(chains_[uniques_[u].chain], events,
-                    states_.data() + uniques_[u].state_at);
-    }
-  });
   for (std::size_t u = 0; u < uniques_.size(); ++u) {
-    const std::uint64_t ops = chains_[uniques_[u].chain].length;
-    stats.executed_ops += ops;
-    chain_costs[u] = scaled(ops, config_.cost_per_op, config_.cost_scale);
+    const Chain& chain = chains_[uniques_[u].chain];
+    execute_chain(chain, events, states_.data() + uniques_[u].state_at);
+    stats.executed_ops += chain.length;
+    chain_costs[u] = scaled(chain.length, config_.cost_per_op, config_.cost_scale);
   }
   obs::count(obs::Counter::replay_exec_ops, stats.executed_ops);
 
@@ -265,39 +245,26 @@ ReplayResult ReplayAuditor::run(std::span<const db::ApiEvent> events) {
     }
   }
 
-  // --- compare shadow vs live, word-for-word, fixed-grain slices merged
-  // in slice order; a slice memcmp finds equal has no mismatching word ---
+  // --- compare shadow vs live, word-for-word, in fixed-grain slices (the
+  // model's compare tasks); a slice memcmp finds equal has no mismatching
+  // word, and a run may continue across a slice seam ---
   const auto live = db_.region();
   const std::size_t grain = std::max<std::size_t>(4, config_.compare_grain_bytes);
   const std::size_t tasks = (live.size() + grain - 1) / grain;
-  std::vector<std::vector<MismatchRun>> task_runs(tasks);
-  dispatch(workers, [&](std::size_t w) {
-    for (std::size_t task = w; task < tasks; task += workers) {
-      const std::size_t begin = task * grain;
-      const std::size_t end = std::min(live.size(), begin + grain);
-      if (std::memcmp(live.data() + begin, shadow.data() + begin, end - begin) == 0) {
+  std::vector<MismatchRun> runs;
+  for (std::size_t begin = 0; begin < live.size(); begin += grain) {
+    const std::size_t end = std::min(live.size(), begin + grain);
+    if (std::memcmp(live.data() + begin, shadow.data() + begin, end - begin) == 0) {
+      continue;
+    }
+    for (std::size_t at = begin; at + 4 <= end; at += 4) {
+      if (db::load_u32(live, at) == db::load_u32(shadow, at)) {
         continue;
       }
-      auto& runs = task_runs[task];
-      for (std::size_t at = begin; at + 4 <= end; at += 4) {
-        if (db::load_u32(live, at) == db::load_u32(shadow, at)) {
-          continue;
-        }
-        if (!runs.empty() && runs.back().offset + runs.back().length == at) {
-          runs.back().length += 4;
-        } else {
-          runs.push_back(MismatchRun{at, 4});
-        }
-      }
-    }
-  });
-  std::vector<MismatchRun> runs;
-  for (const auto& task : task_runs) {
-    for (const MismatchRun& run : task) {
-      if (!runs.empty() && runs.back().offset + runs.back().length == run.offset) {
-        runs.back().length += run.length;  // coalesce across slice seams
+      if (!runs.empty() && runs.back().offset + runs.back().length == at) {
+        runs.back().length += 4;
       } else {
-        runs.push_back(run);
+        runs.push_back(MismatchRun{at, 4});
       }
     }
   }
@@ -323,7 +290,9 @@ ReplayResult ReplayAuditor::run(std::span<const db::ApiEvent> events) {
   obs::count(obs::Counter::replay_mismatches, stats.mismatched_words);
 
   // --- cost model: same µs-and-scale convention as the engine; the
-  // makespan is the two parallel phases' critical paths back to back ---
+  // makespan is the chain and compare phases' critical paths across
+  // `replay_threads` modelled workers, back to back ---
+  const std::size_t workers = std::max<std::size_t>(1, config_.replay_threads);
   std::vector<sim::Duration> compare_costs(
       tasks, scaled(1, config_.cost_per_compare_chunk, config_.cost_scale));
   const sim::Duration compare_cost =

@@ -33,11 +33,11 @@
 // flat int32 array; the shadow is refilled from the pristine image each
 // run, and the compare scans words only in slices memcmp finds differing.
 //
-// Determinism: unique chains execute on the worker pool into
-// preallocated per-chain slots and the compare fans out over fixed-size
-// region slices merged in slice order — findings, counters, and modelled
-// costs are bit-identical at any `replay_threads` (same select →
-// parallel → ordered-merge discipline as the chunk-parallel engine).
+// Parallelism is modelled, not run: replay executes on the calling
+// thread, and `replay_threads` is the worker count of the makespan model,
+// whose tasks are the unique chains and the fixed-size compare slices
+// (the engine's greedy_makespan discipline). Findings, counters and every
+// other stat are the same at any `replay_threads`.
 //
 // Validity precondition: recording must begin at the pristine image
 // (boot state), and every region mutation in between must have flowed
@@ -49,23 +49,20 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "audit/report.hpp"
-#include "common/worker_pool.hpp"
 #include "db/api.hpp"
 #include "db/database.hpp"
 
 namespace wtc::audit {
 
 struct ReplayConfig {
-  /// Worker count for chain execution and the shadow compare (1 = fully
-  /// sequential). Results are bit-identical at any value.
+  /// Worker count of the makespan model (1 = serial). Replay runs on the
+  /// calling thread; this moves only `ReplayStats::makespan`.
   std::size_t replay_threads = 1;
-  /// Region bytes per compare task. Fixed — independent of
+  /// Region bytes per modelled compare task. Fixed — independent of
   /// `replay_threads` — so task boundaries and the modelled makespan
   /// depend only on the region, never on the worker count.
   std::size_t compare_grain_bytes = 4096;
@@ -169,13 +166,9 @@ class ReplayAuditor {
 
   void execute_chain(const Chain& chain, std::span<const db::ApiEvent> events,
                      std::int32_t* state) const;
-  void dispatch(std::size_t workers,
-                const std::function<void(std::size_t)>& job);
 
   const db::Database& db_;
   ReplayConfig config_;
-  /// Created lazily when replay_threads > 1; reused across run() calls.
-  std::unique_ptr<common::WorkerPool> pool_;
   /// Per table, the first record slot: a record's slot is its table's
   /// base plus its index (one past the end at the back).
   std::vector<std::uint32_t> table_base_;

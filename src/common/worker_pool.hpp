@@ -1,6 +1,6 @@
 // Reusable fork/join worker pool, extracted from the campaign runner's
-// per-campaign thread spawning so the audit engine (and any future
-// fan-out) can share one implementation.
+// per-campaign thread spawning so the campaign runner and the sharded
+// controller's per-shard fan-out share one implementation.
 //
 // The pool owns N host threads that sleep between dispatches. A
 // `dispatch(workers, job)` call runs `job(0) .. job(workers-1)` exactly

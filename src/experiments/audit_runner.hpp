@@ -57,8 +57,9 @@ struct AuditRunResult {
   std::uint64_t full_sweeps = 0;
   /// Modelled critical-path latency summed over all periodic cycles:
   /// equals `audit_cost` at audit_threads == 1, shrinks toward
-  /// cost / audit_threads as detection parallelizes. The booked CPU
-  /// (audit_cost) is unchanged by threading — only the makespan moves.
+  /// cost / audit_threads as the modelled detection tasks spread. The
+  /// booked CPU (audit_cost) does not depend on the modelled worker
+  /// count — only the makespan moves.
   sim::Duration audit_makespan = 0;
   /// Cycles whose work queue outlived the configured CPU budget.
   std::uint64_t budget_exhausted_cycles = 0;

@@ -366,12 +366,12 @@ TEST(ReplayAudit, PinnedStatsOnShippedLogs) {
   struct Pinned {
     const char* name;
     std::uint64_t total_ops, chains, unique_chains, executed_ops;
-    sim::Duration dedup_cost;
+    sim::Duration dedup_cost, makespan_1, makespan_4;
   };
   for (const Pinned& pinned :
-       {Pinned{"handoff_storm", 12030, 1800, 14, 123, 10000},
-        Pinned{"registration_avalanche", 675, 135, 100, 500, 40160},
-        Pinned{"diurnal_load", 5214, 1008, 41, 252, 20320}}) {
+       {Pinned{"handoff_storm", 12030, 1800, 14, 123, 10000, 10000, 2680},
+        Pinned{"registration_avalanche", 675, 135, 100, 500, 40160, 40160, 10040},
+        Pinned{"diurnal_load", 5214, 1008, 41, 252, 20320, 20320, 5160}}) {
     SCOPED_TRACE(pinned.name);
     const db::OpLogReadResult log = db::load_op_log(
         std::string(WTC_WORKLOADS_DIR) + "/" + pinned.name + ".oplog");
@@ -379,15 +379,23 @@ TEST(ReplayAudit, PinnedStatsOnShippedLogs) {
     // Applied to the default controller database it was recorded on.
     const auto database = db::make_controller_database();
     experiments::apply_op_log(*database, log.events);
-    audit::ReplayAuditor auditor(*database, audit::ReplayConfig{});
-    const audit::ReplayResult result = auditor.run(log.events);
-    EXPECT_TRUE(result.findings.empty());
-    EXPECT_EQ(result.stats.mismatched_words, 0u);
-    EXPECT_EQ(result.stats.total_ops, pinned.total_ops);
-    EXPECT_EQ(result.stats.chains, pinned.chains);
-    EXPECT_EQ(result.stats.unique_chains, pinned.unique_chains);
-    EXPECT_EQ(result.stats.executed_ops, pinned.executed_ops);
-    EXPECT_EQ(result.stats.dedup_cost, pinned.dedup_cost);
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(threads);
+      audit::ReplayConfig config;
+      config.replay_threads = threads;
+      audit::ReplayAuditor auditor(*database, config);
+      const audit::ReplayResult result = auditor.run(log.events);
+      EXPECT_TRUE(result.findings.empty());
+      EXPECT_EQ(result.stats.mismatched_words, 0u);
+      EXPECT_EQ(result.stats.total_ops, pinned.total_ops);
+      EXPECT_EQ(result.stats.chains, pinned.chains);
+      EXPECT_EQ(result.stats.unique_chains, pinned.unique_chains);
+      EXPECT_EQ(result.stats.executed_ops, pinned.executed_ops);
+      EXPECT_EQ(result.stats.dedup_cost, pinned.dedup_cost);
+      // `replay_threads` is only the worker count of the makespan model.
+      EXPECT_EQ(result.stats.makespan,
+                threads == 1 ? pinned.makespan_1 : pinned.makespan_4);
+    }
   }
 }
 

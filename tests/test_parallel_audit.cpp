@@ -1,7 +1,8 @@
-// Chunk-parallel detection and the per-cycle CPU budget: the parallel
-// engine must produce bit-identical findings, repairs, booked CPU, and
-// obs output at any audit thread count, and the budgeted engine must
-// book only what it scanned, carry the rest, and never starve a table.
+// Modelled parallel detection and the per-cycle CPU budget: the modelled
+// audit thread count may move only the makespan — findings, repairs,
+// booked CPU, and every other obs output are bit-identical at any count —
+// and the budgeted engine must book only what it scanned, carry the
+// rest, and never starve a table.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -278,6 +279,91 @@ TEST(BudgetedAudit, TruncatedCyclesBookOnlyScannedWorkAndDrainToSameResult) {
                                    ref.db->region().end()),
             std::vector<std::byte>(arm.db->region().begin(),
                                    arm.db->region().end()));
+}
+
+/// Per-cycle modelled outcome of a budgeted campaign whose every cycle
+/// also holds fresh, mid-grace-window calls.
+struct PinnedOutcome {
+  std::vector<sim::Duration> cycle_costs;
+  std::vector<sim::Duration> cycle_makespans;
+  sim::Duration total_makespan = 0;
+  std::uint64_t exhausted_cycles = 0;
+  std::uint64_t parallel_tasks = 0;
+  std::size_t findings = 0;
+  std::uint64_t findings_digest = 0;
+};
+
+PinnedOutcome run_budgeted_grace_campaign(std::size_t threads) {
+  EngineConfig config = base_config();
+  config.cycle_budget = 40'000;
+  config.parallel_grain = 8;
+  config.audit_threads = threads;
+  Env env(config);
+  common::Rng rng(1601);
+  obs::Recorder recorder;
+  PinnedOutcome out;
+  {
+    obs::ScopedRecorder scope(recorder);
+    for (int cycle = 0; cycle < 8; ++cycle) {
+      for (int i = 0; i < 3; ++i) {
+        env.make_call(rng);
+      }
+      env.corrupt(rng, cycle % 2 == 0);
+      env.now += 10'000;  // the calls above age past the grace window...
+      env.make_call(rng);  // ...these two are written at `now`: in it
+      env.make_call(rng);
+      // So is an early process record, ahead of the aged dirty ones in
+      // record order: its skip must keep its slot or later tasks shift.
+      env.api.write_fld(env.ids.process, env.procs[static_cast<std::size_t>(cycle)],
+                        env.ids.p_handoff_count, cycle);
+      out.cycle_costs.push_back(env.engine->incremental_pass(env.all_tables()).cost);
+      out.cycle_makespans.push_back(env.engine->last_cycle_makespan());
+    }
+  }
+  out.total_makespan = env.engine->total_makespan();
+  out.exhausted_cycles = env.engine->budget_exhausted_cycles();
+  out.parallel_tasks =
+      recorder.snapshot().counter(obs::Counter::audit_parallel_tasks);
+  out.findings = env.sink.findings.size();
+  for (const Finding& finding : env.sink.findings) {
+    out.findings_digest =
+        out.findings_digest * 1'000'003 +
+        (static_cast<std::uint64_t>(finding.technique) << 56 |
+         static_cast<std::uint64_t>(finding.recovery) << 48 |
+         static_cast<std::uint64_t>(finding.table) << 40 |
+         static_cast<std::uint64_t>(finding.field) << 32 | finding.record);
+  }
+  return out;
+}
+
+TEST(BudgetedAudit, PinnedModelUnderBudgetAndGraceWindow) {
+  // Detection runs on the calling thread; `audit_threads` is only the
+  // worker count of the makespan model. These values pin that model —
+  // booked cost, task count and findings at any count, makespan per
+  // count — across budget truncations and grace-window skips, which still
+  // occupy their slot in their task (at 2 workers, cycle 6's makespan
+  // reads 22750 if the early record's skip gives up its slot).
+  const std::vector<sim::Duration> costs = {28050, 41100, 40400, 40200,
+                                            40800, 40250, 41750, 40150};
+  struct Pinned {
+    std::size_t threads;
+    std::vector<sim::Duration> makespans;
+    sim::Duration total_makespan;
+  };
+  for (const Pinned& pinned :
+       {Pinned{1, costs, 312'700},
+        Pinned{2, {28050, 41100, 28400, 22200, 22400, 21000, 27750, 20950}, 211'850},
+        Pinned{4, {28050, 41100, 27200, 14400, 17600, 14000, 20750, 11350}, 174'450}}) {
+    SCOPED_TRACE(pinned.threads);
+    const PinnedOutcome out = run_budgeted_grace_campaign(pinned.threads);
+    EXPECT_EQ(out.cycle_costs, costs);
+    EXPECT_EQ(out.cycle_makespans, pinned.makespans);
+    EXPECT_EQ(out.total_makespan, pinned.total_makespan);
+    EXPECT_EQ(out.exhausted_cycles, 6u);
+    EXPECT_EQ(out.parallel_tasks, 79u);
+    EXPECT_EQ(out.findings, 25u);
+    EXPECT_EQ(out.findings_digest, 14796135357903361547u);
+  }
 }
 
 TEST(BudgetedAudit, NoTableStarvesUnderSustainedOverload) {

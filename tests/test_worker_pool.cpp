@@ -1,5 +1,5 @@
 // common::WorkerPool: the fork/join primitive shared by the campaign
-// runner and the audit engine's parallel detection phase.
+// runner and the sharded controller's per-shard fan-out.
 #include <gtest/gtest.h>
 
 #include <atomic>
