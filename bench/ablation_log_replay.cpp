@@ -33,6 +33,13 @@
 //   (the storm verdict's measured wall-clock — decode + deduplicated
 //   replay, median of 21 passes — is reported next to its booked cost.)
 //
+//   trailing        The storm log fed to ReplayAuditor::follow() in 50
+//                   appends, as the audit process's replay element feeds
+//                   its growing log: every append's result equals a fresh
+//                   run() over the same prefix (gated), and the trailing
+//                   wall-clock is reported next to re-running every prefix
+//                   and next to the booked dedup cost of the 50 verdicts.
+//
 //   (determinism rides along: replay-audit findings/stats digests are
 //   bit-identical at 1/2/4/8 modelled replay threads, and the
 //   zero-simulation engine is byte-stable across --jobs fan-out.)
@@ -283,6 +290,10 @@ int main(int argc, char** argv) {
   audit::ReplayStats storm_stats;
   double storm_verdict_ms = 0.0;
   double storm_modelled_over_measured = 0.0;
+  constexpr std::size_t kAppends = 50;
+  double trailing_ms = 0.0;
+  double rerun_ms = 0.0;
+  sim::Duration trailing_dedup_cost = 0;
   if (report.gate(storm.ok(), "cannot load %s: %s", storm_path.c_str(),
                   std::string(db::to_string(storm.error)).c_str())) {
     auto storm_db = db::make_controller_database();
@@ -329,6 +340,47 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(storm_stats.naive_cost),
                 static_cast<unsigned long long>(storm_stats.dedup_cost),
                 cpu_ratio, storm_verdict_ms, storm_modelled_over_measured);
+
+    // Trailing: 50 growing prefixes through one follow()ing auditor, then
+    // through run() from scratch each; medians of 5 rounds per side.
+    const std::span<const db::ApiEvent> whole(storm.events);
+    std::vector<double> trailing_walls;
+    std::vector<double> rerun_walls;
+    bool trailing_equal = true;
+    for (int rep = 0; rep < 5; ++rep) {
+      std::vector<audit::ReplayResult> followed;
+      std::vector<audit::ReplayResult> rerun;
+      audit::ReplayAuditor trailing(*storm_db, audit::ReplayConfig{});
+      auto begin = std::chrono::steady_clock::now();
+      for (std::size_t k = 1; k <= kAppends; ++k) {
+        followed.push_back(trailing.follow(whole.first(whole.size() * k / kAppends)));
+      }
+      trailing_walls.push_back(bench::seconds_since(begin) * 1e3);
+      audit::ReplayAuditor rerunner(*storm_db, audit::ReplayConfig{});
+      begin = std::chrono::steady_clock::now();
+      for (std::size_t k = 1; k <= kAppends; ++k) {
+        rerun.push_back(rerunner.run(whole.first(whole.size() * k / kAppends)));
+      }
+      rerun_walls.push_back(bench::seconds_since(begin) * 1e3);
+      trailing_dedup_cost = 0;
+      for (std::size_t k = 0; k < kAppends; ++k) {
+        trailing_equal &= replay_digest(followed[k]) == replay_digest(rerun[k]) &&
+                          followed[k].stats.makespan == rerun[k].stats.makespan;
+        trailing_dedup_cost += followed[k].stats.dedup_cost;
+      }
+    }
+    trailing_ms = median(trailing_walls);
+    rerun_ms = median(rerun_walls);
+    report.gate(trailing_equal,
+                "a trailing follow() result differs from a fresh run() over "
+                "the same prefix");
+    std::printf("--- trailing replay (storm log in %zu appends) ---\n"
+                "follow() %.3f ms vs run() per append %.3f ms wall-clock "
+                "(medians of 5): %.1fx; booked dedup cost %llu us, %s\n\n",
+                kAppends, trailing_ms, rerun_ms,
+                trailing_ms > 0.0 ? rerun_ms / trailing_ms : 0.0,
+                static_cast<unsigned long long>(trailing_dedup_cost),
+                trailing_equal ? "every result equals a fresh run" : "DIFFERS");
   }
 
   // --- phase 4: seeded semantic corruption ---
@@ -456,6 +508,10 @@ int main(int argc, char** argv) {
       .field("storm_dedup_cost", storm_stats.dedup_cost)
       .field("storm_verdict_wall_ms", storm_verdict_ms, 4)
       .field("storm_modelled_over_measured", storm_modelled_over_measured, 2)
+      .field("trailing_appends", kAppends)
+      .field("trailing_wall_ms", trailing_ms, 4)
+      .field("rerun_wall_ms", rerun_ms, 4)
+      .field("trailing_dedup_cost", trailing_dedup_cost)
       .field("seeded_corruptions", corrupted_offsets.size())
       .field("structural_findings", structural_findings)
       .field("replay_detected", detected);

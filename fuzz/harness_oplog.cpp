@@ -17,7 +17,9 @@
 //   * an accepted log replays deterministically: applied to two fresh
 //     harness-schema databases through the real DbApi, both end
 //     byte-identical — and the replay auditor over the applied region
-//     produces identical findings and stats at 1 and 2 worker threads.
+//     produces identical findings and stats at 1 and 2 worker threads,
+//     and a trailing auditor fed the events in two appends (cut at an
+//     input-derived point) ends with exactly the one-shot result.
 //     (Findings may well be non-empty: an adversarial log can claim
 //     update snapshots the API never produced. Flagging those is the
 //     auditor working, not a harness failure.)
@@ -204,6 +206,16 @@ int fuzz_oplog(const std::uint8_t* data, std::size_t size) {
           "replay-audit stats are thread-count independent");
   require(same_findings(one.findings, two.findings),
           "replay-audit findings are thread-count independent");
+
+  audit::ReplayAuditor trailing(*db_a, serial);
+  const std::size_t cut = (data[size / 2] * 257u + size) % (events.size() + 1);
+  (void)trailing.follow(events.first(cut));
+  const audit::ReplayResult followed = trailing.follow(events);
+  require(same_stats(followed.stats, one.stats) &&
+              followed.stats.makespan == one.stats.makespan,
+          "trailing replay-audit stats equal the one-shot run's");
+  require(same_findings(followed.findings, one.findings),
+          "trailing replay-audit findings equal the one-shot run's");
   return 0;
 }
 

@@ -453,7 +453,8 @@ void ReplayAuditElement::tick(AuditProcess& process) {
       }
     }
     if (run) {
-      const ReplayResult result = auditor_->run(log->events());
+      // The log only grows, so each tick resumes from the last one.
+      const ReplayResult result = auditor_->follow(log->events());
       last_stats_ = result.stats;
       ++runs_;
       if (budget > 0) {

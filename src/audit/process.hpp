@@ -267,9 +267,10 @@ class LowResourceTriggerElement final : public AuditElement {
   std::uint64_t sweeps_triggered_ = 0;
 };
 
-/// Replay audit trigger: every `replay_period`, re-executes the recorded
-/// op log against a shadow region (deduplicated chains on the worker
-/// pool) and reports every shadow/live divergence as a ReplayCheck
+/// Replay audit trigger: every `replay_period`, brings a trailing replay
+/// auditor up to the end of the recorded op log (ReplayAuditor::follow:
+/// only the events appended since the last tick are grouped and
+/// executed) and reports every shadow/live divergence as a ReplayCheck
 /// finding. Cost is booked into the shared CPU under the engine's
 /// cycle-budget policy: with a budget set, a tick whose modelled cost
 /// exceeds the accumulated per-tick allowance defers to a later tick

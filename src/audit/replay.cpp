@@ -75,18 +75,46 @@ ReplayAuditor::ReplayAuditor(const db::Database& db, ReplayConfig config)
   }
 }
 
-void ReplayAuditor::execute_chain(const Chain& chain,
-                                  std::span<const db::ApiEvent> events,
-                                  std::int32_t* state) const {
-  const auto& fields = db_.schema().tables.at(chain.table).fields;
+void ReplayAuditor::reset() {
+  consumed_ = 0;
+  total_ops_ = 0;
+  chains_.clear();
+  ends_.clear();
+  states_.clear();
+}
+
+ReplayResult ReplayAuditor::run(std::span<const db::ApiEvent> events) {
+  reset();
+  return follow(events);
+}
+
+const std::int32_t* ReplayAuditor::execute_chain(
+    Chain& chain, std::span<const db::ApiEvent> events) {
   const std::size_t num_fields = db_.layout().table(chain.table).num_fields;
-  const std::size_t at = db_.layout().record_offset(chain.table, chain.record);
+  if (chain.end == 0) {
+    ends_.push_back(EndState{states_.size(), 0, 0});
+    chain.end = static_cast<std::uint32_t>(ends_.size());
+    states_.resize(states_.size() + 2 + num_fields);
+  }
+  EndState& end = ends_[chain.end - 1];
+  if (end.ops == chain.length) {
+    return states_.data() + end.at;
+  }
+  const auto& fields = db_.schema().tables.at(chain.table).fields;
   // state: [status, group, fields...], the record's words from +4 on
   // minus the next link, starting from the pristine image.
-  const auto pristine = db_.pristine();
-  std::memcpy(state, pristine.data() + at + 4, 8);
+  std::int32_t* const state = states_.data() + end.at;
   std::int32_t* const values = state + 2;
-  std::memcpy(values, pristine.data() + at + db::kRecordHeaderSize, num_fields * 4);
+  std::uint32_t index = chain.first;
+  if (end.ops == 0) {
+    const auto pristine = db_.pristine();
+    const std::size_t at = db_.layout().record_offset(chain.table, chain.record);
+    std::memcpy(state, pristine.data() + at + 4, 8);
+    std::memcpy(values, pristine.data() + at + db::kRecordHeaderSize,
+                num_fields * 4);
+  } else {
+    index = next_[end.last];
+  }
   const auto reset = [&](std::uint32_t status, std::uint32_t group) {
     state[0] = static_cast<std::int32_t>(status);
     state[1] = static_cast<std::int32_t>(group);
@@ -94,8 +122,7 @@ void ReplayAuditor::execute_chain(const Chain& chain,
       values[f] = fields[f].default_value;
     }
   };
-  std::uint32_t index = chain.first;
-  for (std::uint32_t n = 0; n < chain.length; ++n, index = next_[index]) {
+  for (std::uint32_t n = end.ops; n < chain.length; ++n, index = next_[index]) {
     const db::ApiEvent& event = events[index];
     switch (event.op) {
       case db::ApiOp::Alloc:
@@ -124,32 +151,45 @@ void ReplayAuditor::execute_chain(const Chain& chain,
         break;
     }
   }
+  end.ops = chain.length;
+  end.last = chain.last;
+  return state;
 }
 
-ReplayResult ReplayAuditor::run(std::span<const db::ApiEvent> events) {
+ReplayResult ReplayAuditor::follow(std::span<const db::ApiEvent> events) {
   const auto& layout = db_.layout();
   const auto pristine = db_.pristine();
+  const std::size_t num_tables = layout.tables().size();
   ReplayResult result;
   ReplayStats& stats = result.stats;
 
-  // --- select + group + sign, one pass: per-(table, record) chains,
-  // arrival order, segmented at lifecycle boundaries — every Alloc starts
-  // a fresh chain (the record is reborn from a state Alloc fully
-  // determines), so repeated call cycles on a reused record slot become
-  // *separate* record-agnostic chains the dedup pass can collapse ---
-  open_chain_.assign(table_base_.back(), kNoChain);
+  if (events.size() < consumed_) {
+    reset();
+  }
+  if (consumed_ == 0) {
+    // Starting over: no chain is open and the shadow is the pristine image.
+    open_chain_.assign(table_base_.back(), kNoChain);
+    shadow_.assign(pristine.begin(), pristine.end());
+  }
+  ++calls_;
+
+  // --- select + group + sign the appended events, one pass:
+  // per-(table, record) chains, arrival order, segmented at lifecycle
+  // boundaries — every Alloc starts a fresh chain (the record is reborn
+  // from a state Alloc fully determines), so repeated call cycles on a
+  // reused record slot become *separate* record-agnostic chains the dedup
+  // pass can collapse ---
   if (next_.size() < events.size()) {
     next_.resize(events.size());
   }
-  chains_.clear();
-  const std::size_t num_tables = layout.tables().size();
-  for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(events.size()); ++i) {
+  for (auto i = static_cast<std::uint32_t>(consumed_);
+       i < static_cast<std::uint32_t>(events.size()); ++i) {
     const db::ApiEvent& event = events[i];
     if (!replayable(event) || event.table >= num_tables ||
         event.record >= table_base_[event.table + 1] - table_base_[event.table]) {
       continue;
     }
-    ++stats.total_ops;
+    ++total_ops_;
     std::uint32_t& open = open_chain_[table_base_[event.table] + event.record];
     if (open == kNoChain || event.op == db::ApiOp::Alloc) {
       open = static_cast<std::uint32_t>(chains_.size());
@@ -175,12 +215,17 @@ ReplayResult ReplayAuditor::run(std::span<const db::ApiEvent> events) {
     Chain& chain = chains_[open];
     chain.last = i;
     ++chain.length;
+    chain.grown = calls_;
     chain.signature = mix_op(chain.signature, event);
   }
+  consumed_ = events.size();
+  stats.total_ops = total_ops_;
   stats.chains = chains_.size();
 
-  // --- dedup: the first chain with a signature becomes the executor.
-  // Open addressing over a power-of-two table at most half full ---
+  // --- dedup over the chain records: the first chain with a signature
+  // becomes the executor. Open addressing over a power-of-two table at
+  // most half full. Each unique chain is one task of the makespan model
+  // at its full length, however much of it is re-executed below ---
   std::size_t buckets = 1;
   while (buckets < 2 * chains_.size()) {
     buckets <<= 1;
@@ -188,55 +233,48 @@ ReplayResult ReplayAuditor::run(std::span<const db::ApiEvent> events) {
   const std::size_t mask = buckets - 1;
   unique_bucket_.assign(buckets, 0);
   uniques_.clear();
-  std::size_t state_words = 0;
+  std::vector<sim::Duration> chain_costs;
+  const std::span<std::byte> shadow(shadow_);
   for (std::uint32_t c = 0; c < static_cast<std::uint32_t>(chains_.size()); ++c) {
     Chain& chain = chains_[c];
+    std::uint32_t executor = c;
     for (std::size_t b = chain.signature & mask;; b = (b + 1) & mask) {
       std::uint32_t& bucket = unique_bucket_[b];
       if (bucket == 0) {
-        chain.unique = static_cast<std::uint32_t>(uniques_.size());
-        bucket = chain.unique + 1;
-        uniques_.push_back(Unique{chain.signature, c, state_words});
-        state_words += 2 + layout.table(chain.table).num_fields;
+        uniques_.push_back(Unique{chain.signature, c});
+        bucket = static_cast<std::uint32_t>(uniques_.size());
+        stats.executed_ops += chain.length;
+        chain_costs.push_back(
+            scaled(chain.length, config_.cost_per_op, config_.cost_scale));
         break;
       }
       if (uniques_[bucket - 1].signature == chain.signature) {
-        chain.unique = bucket - 1;
+        executor = uniques_[bucket - 1].chain;
         break;
       }
     }
+    // The shadow holds each record's last chain's end state. It changes
+    // only when that chain grew, passed to another executor, or its
+    // executor grew; only then is the executor brought up to date (it
+    // precedes this chain, so its ops this call are all grouped) and the
+    // record rewritten.
+    if (open_chain_[table_base_[chain.table] + chain.record] == c &&
+        (chain.grown == calls_ || chain.executor != executor ||
+         chains_[executor].grown == calls_)) {
+      const std::int32_t* state = execute_chain(chains_[executor], events);
+      const std::size_t at = layout.record_offset(chain.table, chain.record);
+      std::memcpy(shadow.data() + at + 4, state, 8);
+      std::memcpy(shadow.data() + at + db::kRecordHeaderSize, state + 2,
+                  layout.table(chain.table).num_fields * 4);
+    }
+    chain.executor = executor;
   }
   stats.unique_chains = uniques_.size();
   obs::count(obs::Counter::replay_chains, stats.chains);
   obs::count(obs::Counter::replay_deduped, stats.deduped());
-
-  // --- execute each unique chain exactly once, into its end-state slot;
-  // each chain is one task of the makespan model ---
-  if (states_.size() < state_words) {
-    states_.resize(state_words);
-  }
-  std::vector<sim::Duration> chain_costs(uniques_.size(), 0);
-  for (std::size_t u = 0; u < uniques_.size(); ++u) {
-    const Chain& chain = chains_[uniques_[u].chain];
-    execute_chain(chain, events, states_.data() + uniques_[u].state_at);
-    stats.executed_ops += chain.length;
-    chain_costs[u] = scaled(chain.length, config_.cost_per_op, config_.cost_scale);
-  }
   obs::count(obs::Counter::replay_exec_ops, stats.executed_ops);
 
-  // --- build the shadow: pristine image + every chain's end state, then
-  // recompute each table's group links (replay's analog of relink).
-  // Chains are applied in creation order (chronological by segment
-  // start), so a record's last lifecycle overwrites its earlier ones ---
-  shadow_.assign(pristine.begin(), pristine.end());
-  const std::span<std::byte> shadow(shadow_);
-  for (const Chain& chain : chains_) {
-    const std::int32_t* state = states_.data() + uniques_[chain.unique].state_at;
-    const std::size_t at = layout.record_offset(chain.table, chain.record);
-    std::memcpy(shadow.data() + at + 4, state, 8);
-    std::memcpy(shadow.data() + at + db::kRecordHeaderSize, state + 2,
-                layout.table(chain.table).num_fields * 4);
-  }
+  // --- recompute each table's group links (replay's analog of relink) ---
   for (std::size_t t = 0; t < num_tables; ++t) {
     const auto table = static_cast<db::TableId>(t);
     const auto expected = db::direct::expected_links(shadow, layout, table);

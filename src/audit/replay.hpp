@@ -29,9 +29,20 @@
 // Cost: grouping and signing are one pass over the log. A record finds
 // its open chain through a flat per-record slot array, a chain links its
 // ops through a per-event `next` index, and its signature is streamed a
-// 64-bit word at a time as each op arrives. Unique end states live in one
-// flat int32 array; the shadow is refilled from the pristine image each
-// run, and the compare scans words only in slices memcmp finds differing.
+// 64-bit word at a time as each op arrives. End states are kept per
+// executing chain in one flat int32 array, and the compare scans words
+// only in slices memcmp finds differing.
+//
+// Trailing: the log only grows, so follow() resumes where the previous
+// call stopped. It groups and signs only the appended events and redoes
+// the dedup over the chain records, not the events. A record's shadow
+// words are rewritten only when its last chain grew or its class's
+// executor changed or grew; only then is that executor's end state
+// brought up to date, by the ops it gained since it was last computed.
+// The relink and the full live-vs-shadow compare run on every call,
+// since a write that bypasses the store can land anywhere.
+// `executed_ops` and every cost stay the modelled figures of a fresh
+// run() — each unique chain's full length — whatever was re-executed.
 //
 // Parallelism is modelled, not run: replay executes on the calling
 // thread, and `replay_threads` is the worker count of the makespan model,
@@ -132,17 +143,24 @@ struct ReplayResult {
 [[nodiscard]] std::uint64_t mix_op(std::uint64_t hash,
                                    const db::ApiEvent& event) noexcept;
 
-/// One-shot (or reused) replay checker over a database's op history.
-/// A reused auditor keeps its scratch (chain slots, op links, end states,
-/// shadow) sized to the largest log it has seen; every run() result
-/// equals a fresh auditor's.
+/// Replay checker over a database's op history, one-shot (run) or
+/// trailing a growing log (follow). A reused auditor keeps its scratch
+/// (chain slots, op links, end states, shadow) sized to the largest log
+/// it has seen; every result equals a fresh auditor's run().
 class ReplayAuditor {
  public:
   ReplayAuditor(const db::Database& db, ReplayConfig config);
 
-  /// Re-executes `events` (a whole-run op log, arrival order) and
-  /// compares the resulting shadow region against the live region.
+  /// Re-executes `events` (a whole-run op log, arrival order) from the
+  /// pristine image and compares the resulting shadow region against the
+  /// live region: reset() then follow(), one code path.
   [[nodiscard]] ReplayResult run(std::span<const db::ApiEvent> events);
+
+  /// The verdict of run(events), resumed from where the previous run() or
+  /// follow() stopped. Precondition: `events` begins with the events the
+  /// previous call consumed — as a db::RunOpLog, which only appends,
+  /// guarantees. A span shorter than what was consumed starts over.
+  [[nodiscard]] ReplayResult follow(std::span<const db::ApiEvent> events);
 
  private:
   /// One per-(table, record) op chain. Its ops are linked through `next_`
@@ -152,34 +170,53 @@ class ReplayAuditor {
     std::uint32_t first = 0;
     std::uint32_t last = 0;
     std::uint32_t length = 0;
-    std::uint32_t unique = 0;  ///< index into uniques_
+    /// The chain that executes this one's dedup class (the first chain
+    /// with its signature), as of the last dedup pass.
+    std::uint32_t executor = 0;
+    std::uint32_t grown = 0;  ///< the follow() call that last appended to it
+    std::uint32_t end = 0;    ///< index into ends_ + 1; 0 = never executed
     db::RecordIndex record = 0;
     db::TableId table = db::kNoTable;
   };
-  /// One dedup class: its signature, the chain that executes it, and where
-  /// its end state (status, group, then the fields) starts in states_.
+  /// An executing chain's end state: status, group, then the fields, at
+  /// `at` in states_, after its first `ops` ops (the last being `last`).
+  struct EndState {
+    std::size_t at = 0;
+    std::uint32_t ops = 0;
+    std::uint32_t last = 0;
+  };
+  /// One dedup class: its signature and the chain that executes it.
   struct Unique {
     std::uint64_t signature = 0;
     std::uint32_t chain = 0;
-    std::size_t state_at = 0;
   };
 
-  void execute_chain(const Chain& chain, std::span<const db::ApiEvent> events,
-                     std::int32_t* state) const;
+  /// Forgets every consumed event: the next follow() starts over from the
+  /// pristine image.
+  void reset();
+  /// Brings `chain`'s end state up to its current length, executing only
+  /// the ops it gained since the state was last computed, and returns it.
+  const std::int32_t* execute_chain(Chain& chain,
+                                    std::span<const db::ApiEvent> events);
 
   const db::Database& db_;
   ReplayConfig config_;
   /// Per table, the first record slot: a record's slot is its table's
   /// base plus its index (one past the end at the back).
   std::vector<std::uint32_t> table_base_;
-  // Scratch reused across run() calls.
+  // State carried from one follow() to the next; reset() clears it.
+  std::size_t consumed_ = 0;                  ///< events grouped so far
+  std::uint64_t total_ops_ = 0;               ///< replayable ops among them
+  std::uint32_t calls_ = 0;                   ///< follow() calls so far, for Chain::grown
   std::vector<std::uint32_t> open_chain_;     ///< per record slot
   std::vector<std::uint32_t> next_;           ///< per event: next op of its chain
   std::vector<Chain> chains_;                 ///< creation order
+  std::vector<EndState> ends_;
+  std::vector<std::int32_t> states_;          ///< end states, flat
+  std::vector<std::byte> shadow_;             ///< the region the log explains
+  // Per-call scratch.
   std::vector<Unique> uniques_;               ///< discovery order
   std::vector<std::uint32_t> unique_bucket_;  ///< signature table: unique + 1
-  std::vector<std::int32_t> states_;          ///< end states, flat
-  std::vector<std::byte> shadow_;
 };
 
 }  // namespace wtc::audit

@@ -62,24 +62,26 @@ enum class ApiOp : std::uint8_t {
 /// — the bulk of the modified API's overhead on write-class operations
 /// (the paper's Figure 4: DBwrite_rec pays the most).
 struct ApiEvent {
-  ApiOp op = ApiOp::Init;
-  sim::ProcessId client = sim::kNoProcess;
-  TableId table = kNoTable;
-  RecordIndex record = 0;
+  // Widest first, so the event packs into one 64-byte cache line.
   sim::Time time = 0;
-  bool is_update = false;  ///< write-class op (triggers event audit)
-  /// Outcome of the call — replay consumers skip failed (no-op) updates.
-  Status status = Status::Ok;
+  std::array<std::int32_t, 8> payload{};
+  sim::ProcessId client = sim::kNoProcess;
+  RecordIndex record = 0;
   /// Client thread that issued the call (set_thread_id attribution) — the
   /// healer selects a thread's history from the run op log by this.
   std::uint32_t thread = 0;
   /// Alloc/Move: the target logical group of the operation.
   std::uint32_t group = 0;
+  TableId table = kNoTable;
   /// WriteFld: the written field id.
   FieldId field = 0;
-  std::array<std::int32_t, 8> payload{};
+  ApiOp op = ApiOp::Init;
+  bool is_update = false;  ///< write-class op (triggers event audit)
+  /// Outcome of the call — replay consumers skip failed (no-op) updates.
+  Status status = Status::Ok;
   std::uint8_t payload_len = 0;
 };
+static_assert(sizeof(ApiEvent) == 64, "ApiEvent fills one cache line");
 
 /// Where instrumented-API notifications go. In the integrated system this
 /// is an adapter that posts to the audit process's IPC queue; benchmarks

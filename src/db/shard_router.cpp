@@ -21,7 +21,7 @@ ShardedDb::ShardedDb(std::uint32_t shards, const ShardFactory& factory)
 }
 
 ShardedDbApi::ShardedDbApi(ShardedDb& db, std::function<sim::Time()> clock)
-    : db_(db), routed_ops_(db.shard_count(), 0) {
+    : db_(db), routed_ops_(db.shard_count()) {
   apis_.reserve(db.shard_count());
   for (std::uint32_t s = 0; s < db.shard_count(); ++s) {
     apis_.push_back(std::make_unique<DbApi>(db.shard(s), clock));
@@ -61,7 +61,7 @@ std::unique_lock<std::mutex> maybe_lock(ShardedDb& db, std::uint32_t s,
 }  // namespace
 
 DbApi& ShardedDbApi::route(std::uint32_t s) {
-  ++routed_ops_[s];
+  ++routed_ops_[s].ops;
   obs::count(obs::Counter::db_shard_routed);
   return *apis_[s];
 }
@@ -186,9 +186,9 @@ Status ShardedDbApi::transfer_rec(SubscriberKey from_key, SubscriberKey to_key,
 std::uint64_t ShardedDbApi::publish_imbalance() {
   std::uint64_t total = 0;
   std::uint64_t peak = 0;
-  for (const std::uint64_t ops : routed_ops_) {
-    total += ops;
-    peak = std::max(peak, ops);
+  for (const RoutedOps& routed : routed_ops_) {
+    total += routed.ops;
+    peak = std::max(peak, routed.ops);
   }
   if (total == 0) {
     return 0;

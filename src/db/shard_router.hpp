@@ -205,7 +205,7 @@ class ShardedDbApi {
 
   // --- routing statistics ---
   [[nodiscard]] std::uint64_t routed_ops(std::uint32_t s) const {
-    return routed_ops_.at(s);
+    return routed_ops_.at(s).ops;
   }
   [[nodiscard]] std::uint64_t cross_shard_transfers() const noexcept {
     return cross_shard_transfers_.load(std::memory_order_relaxed);
@@ -222,9 +222,15 @@ class ShardedDbApi {
   /// round contract), so the plain increment is safe either way.
   DbApi& route(std::uint32_t s);
 
+  /// One shard's routed-op counter on its own cache line, so workers that
+  /// own different shards never write the same line.
+  struct alignas(64) RoutedOps {
+    std::uint64_t ops = 0;
+  };
+
   ShardedDb& db_;
   std::vector<std::unique_ptr<DbApi>> apis_;
-  std::vector<std::uint64_t> routed_ops_;
+  std::vector<RoutedOps> routed_ops_;
   /// Atomic: concurrent transfers over DISJOINT shard pairs share no
   /// mutex, yet both bump this. Relaxed is enough — the value is only
   /// read after the concurrent phase joins.

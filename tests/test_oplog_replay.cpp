@@ -3,6 +3,7 @@
 // zero-simulation workload engine's byte-identity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <span>
 #include <string>
@@ -10,6 +11,7 @@
 
 #include "audit/engine.hpp"
 #include "audit/replay.hpp"
+#include "common/rng.hpp"
 #include "db/api.hpp"
 #include "db/controller_schema.hpp"
 #include "db/run_op_log.hpp"
@@ -449,6 +451,141 @@ TEST(ReplayAudit, ReusedAuditorMatchesFreshOne) {
   }
 }
 
+TEST(ReplayAudit, FollowMatchesFreshRunAtEveryAppend) {
+  // A trailing auditor fed ever longer prefixes of each shipped log must
+  // equal a fresh run() over the same prefix at every step: cut at seeded
+  // points (half of them moved to a field write, so a lifecycle is split
+  // across two calls), one step with nothing appended, a live word
+  // corrupted for a few steps, and one shorter prefix that starts over.
+  for (const char* name :
+       {"handoff_storm", "registration_avalanche", "diurnal_load"}) {
+    SCOPED_TRACE(name);
+    const db::OpLogReadResult log =
+        db::load_op_log(std::string(WTC_WORKLOADS_DIR) + "/" + name + ".oplog");
+    ASSERT_TRUE(log.ok()) << db::to_string(log.error);
+    const auto database = db::make_controller_database();
+    experiments::apply_op_log(*database, log.events);
+    db::Database& db = *database;
+    const std::span<const db::ApiEvent> whole(log.events);
+
+    common::Rng rng(0xF0110);
+    std::vector<std::size_t> cuts;
+    for (int i = 0; i < 24; ++i) {
+      std::size_t cut = rng.uniform(whole.size() + 1);
+      while (i % 2 == 0 && cut < whole.size() &&
+             whole[cut].op != db::ApiOp::WriteFld) {
+        ++cut;
+      }
+      cuts.push_back(cut);
+    }
+    std::sort(cuts.begin(), cuts.end());
+    const std::size_t repeat = cuts[7];
+    const std::size_t shorter = cuts[3];
+    cuts.insert(cuts.begin() + 8, repeat);    // nothing appended
+    cuts.insert(cuts.begin() + 16, shorter);  // shorter: starts over
+    ASSERT_LT(shorter, cuts[15]);
+    cuts.push_back(whole.size());
+
+    const auto ids = db::resolve_controller_ids(db.schema());
+    const std::size_t corrupt_at = db.layout().field_offset(
+        ids.connection, db.layout().table(ids.connection).num_records / 3,
+        ids.c_billing_units);
+    const std::int32_t original = db::load_i32(db.region(), corrupt_at);
+
+    audit::ReplayConfig config;
+    config.replay_threads = 3;
+    config.compare_grain_bytes = 1024;
+    audit::ReplayAuditor trailing(db, config);
+    for (std::size_t step = 0; step < cuts.size(); ++step) {
+      SCOPED_TRACE(step);
+      db::store_i32(db.region(), corrupt_at,
+                    step >= 5 && step < 9 ? original ^ 0x11 : original);
+      const std::span<const db::ApiEvent> prefix = whole.first(cuts[step]);
+      audit::ReplayAuditor fresh(db, config);
+      expect_same_result(trailing.follow(prefix), fresh.run(prefix));
+    }
+    EXPECT_TRUE(trailing.follow(whole).findings.empty());
+  }
+}
+
+/// The 64-bit word that takes audit::mix_signature from `from` to `to`:
+/// the mixer's steps inverted (xor-shift, then the odd multiplier).
+std::uint64_t mixer_preimage(std::uint64_t from, std::uint64_t to) {
+  constexpr std::uint64_t kOdd = 0x9E3779B97F4A7C15ull;
+  std::uint64_t inverse = kOdd;  // Newton: correct bits double each step
+  for (int i = 0; i < 5; ++i) {
+    inverse *= 2 - kOdd * inverse;
+  }
+  return ((to ^ (to >> 32)) * inverse) ^ from;
+}
+
+/// A successful update event of `op` on (table, record).
+db::ApiEvent update(db::ApiOp op, db::TableId table, db::RecordIndex record) {
+  db::ApiEvent event;
+  event.op = op;
+  event.table = table;
+  event.record = record;
+  event.is_update = true;
+  return event;
+}
+
+/// A two-value WriteRec on (table, record) whose op takes a chain's
+/// signature from `from` to `to`.
+db::ApiEvent colliding_write(db::TableId table, db::RecordIndex record,
+                             std::uint64_t from, std::uint64_t to) {
+  db::ApiEvent event = update(db::ApiOp::WriteRec, table, record);
+  event.payload_len = 2;
+  // The header word mix_op folds first: op kind and payload length.
+  const std::uint64_t header = audit::mix_signature(
+      from, static_cast<std::uint64_t>(db::ApiOp::WriteRec) | 2ull << 8);
+  const std::uint64_t word = mixer_preimage(header, to);
+  event.payload[0] = static_cast<std::int32_t>(word & 0xFFFFFFFFu);
+  event.payload[1] = static_cast<std::int32_t>(word >> 32);
+  return event;
+}
+
+TEST(ReplayAudit, FollowIsExactUnderSignatureCollisions) {
+  // A signature collision merges two dedup classes, so a record takes
+  // its executor's (wrong) end state in a fresh run(). The trailing
+  // auditor must reproduce that too: a record whose own chain did not
+  // grow is rewritten when its executor grows without changing its
+  // signature, or when its class passes to another executor.
+  Fixture fx;
+  const db::TableId t = fx.ids.process;
+  const std::uint64_t born =
+      audit::mix_op(audit::chain_seed(t), update(db::ApiOp::Alloc, t, 0));
+  const auto write_field = [&](db::RecordIndex record, std::int32_t value) {
+    db::ApiEvent event = update(db::ApiOp::WriteFld, t, record);
+    event.payload_len = 1;
+    event.payload[0] = value;
+    return event;
+  };
+  const std::uint64_t written = audit::mix_op(born, write_field(0, 7));
+
+  std::vector<db::ApiEvent> events{
+      // Records 0 and 1 are born alike: record 0 executes both.
+      update(db::ApiOp::Alloc, t, 0), update(db::ApiOp::Alloc, t, 1),
+      // Records 2-4 end with one signature: record 2 through a colliding
+      // write, so it executes all three with its own end state.
+      update(db::ApiOp::Alloc, t, 2), colliding_write(t, 2, born, written),
+      update(db::ApiOp::Alloc, t, 3), write_field(3, 7),
+      update(db::ApiOp::Alloc, t, 4), write_field(4, 7),
+      // Record 0 grows without changing its signature.
+      colliding_write(t, 0, born, born),
+      // Record 2 grows out of the class: record 3 executes it now.
+      write_field(2, 1)};
+  ASSERT_EQ(audit::mix_op(born, events[3]), written);
+  ASSERT_EQ(audit::mix_op(born, events[8]), born);
+
+  const std::span<const db::ApiEvent> log(events);
+  audit::ReplayAuditor trailing(*fx.database, audit::ReplayConfig{});
+  for (const std::size_t cut : {8u, 9u, 10u}) {
+    SCOPED_TRACE(cut);
+    audit::ReplayAuditor fresh(*fx.database, audit::ReplayConfig{});
+    expect_same_result(trailing.follow(log.first(cut)), fresh.run(log.first(cut)));
+  }
+}
+
 // --- zero-simulation workload engine --------------------------------------
 
 TEST(ReplayWorkload, ByteIdenticalToRecordingRun) {
@@ -510,6 +647,38 @@ TEST(ReplayWorkload, DeterministicAcrossCampaignJobs) {
 }
 
 // --- replay audit element wiring ------------------------------------------
+
+TEST(ReplayAuditElement, PinnedStatsWithInjections) {
+  // The element's trailing auditor must report exactly what re-running
+  // the whole log at every tick reported: run count and the last tick's
+  // stats, pinned from the re-running build, with injected corruption
+  // under replay so mismatches are non-zero.
+  struct Pinned {
+    std::uint64_t seed, runs, total_ops, chains, unique_chains, executed_ops,
+        mismatched_words;
+    sim::Duration naive_cost, dedup_cost, makespan;
+  };
+  for (const Pinned& pinned :
+       {Pinned{0x1701, 20, 1823, 561, 552, 1796, 12, 146000, 143840, 143840},
+        Pinned{0x51DE, 20, 1917, 588, 578, 1887, 1, 153520, 151120, 151120}}) {
+    SCOPED_TRACE(pinned.seed);
+    experiments::AuditRunParams params;
+    params.duration = 400 * static_cast<sim::Duration>(sim::kSecond);
+    params.audit.replay_audit = true;
+    params.seed = pinned.seed;
+    const auto result = experiments::run_audit_experiment(params);
+    ASSERT_GT(result.oracle.injected, 0u);
+    EXPECT_EQ(result.replay_runs, pinned.runs);
+    EXPECT_EQ(result.replay.total_ops, pinned.total_ops);
+    EXPECT_EQ(result.replay.chains, pinned.chains);
+    EXPECT_EQ(result.replay.unique_chains, pinned.unique_chains);
+    EXPECT_EQ(result.replay.executed_ops, pinned.executed_ops);
+    EXPECT_EQ(result.replay.mismatched_words, pinned.mismatched_words);
+    EXPECT_EQ(result.replay.naive_cost, pinned.naive_cost);
+    EXPECT_EQ(result.replay.dedup_cost, pinned.dedup_cost);
+    EXPECT_EQ(result.replay.makespan, pinned.makespan);
+  }
+}
 
 TEST(ReplayAuditElement, RunsCleanInsideTheAuditProcess) {
   experiments::AuditRunParams params;
